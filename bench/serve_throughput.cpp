@@ -14,9 +14,11 @@
 ///          process-lifetime EstimateCache / TransformStageCache, so
 ///          latency is the cache walk plus protocol overhead.
 ///
-/// The run is also a correctness gate: every warm reply must report
-/// warm=true with zero cache misses and return the bit-identical winner
-/// and decision digest of its cold counterpart. The process exits
+/// The run is also a correctness gate: every cold reply must report
+/// warm=false with cache misses (warmth is attributed per request, so a
+/// first-contact request can never look warm), and every warm reply must
+/// report warm=true with zero cache misses and return the bit-identical
+/// winner and decision digest of its cold counterpart. The process exits
 /// nonzero only on such a violation — never on a slow machine — so CI
 /// can run it as a smoke test (--quick caps the repetitions).
 ///
@@ -153,6 +155,7 @@ int main(int argc, char **argv) {
   // Cold phase: first contact, sequential so attribution is exact.
   std::vector<double> ColdUs;
   std::map<std::string, ServeResponse> ColdByKey;
+  bool WarmViolation = false;
   for (const ServeRequest &Req : Mix) {
     Reply Out = issue(Socket, Req);
     if (Out.R.RStatus != ServeStatus::Ok &&
@@ -162,6 +165,14 @@ int main(int argc, char **argv) {
                    Out.R.Reason.c_str());
       return 1;
     }
+    if (Out.R.Warm || Out.R.CacheMisses == 0) {
+      std::fprintf(stderr,
+                   "serve_throughput: COLD VIOLATION %s/%s: warm=%d "
+                   "misses=%llu on first contact\n",
+                   Req.Kernel.c_str(), Req.Platform.c_str(), Out.R.Warm,
+                   static_cast<unsigned long long>(Out.R.CacheMisses));
+      WarmViolation = true;
+    }
     ColdUs.push_back(Out.ClientUs);
     ColdByKey[Req.Kernel + "|" + Req.Platform] = Out.R;
   }
@@ -170,7 +181,6 @@ int main(int argc, char **argv) {
   // and bit-identical to its cold counterpart.
   const unsigned Rounds = Quick ? 2 : 20;
   std::vector<double> WarmUs;
-  bool WarmViolation = false;
   double WarmStart = nowUs();
   for (unsigned Round = 0; Round != Rounds; ++Round) {
     for (const ServeRequest &Req : Mix) {

@@ -42,6 +42,11 @@ struct BatchJob {
   /// SearchMode when non-empty. Unknown names degrade to guided with a
   /// note in the result's trace — a batch never aborts over one job.
   std::string Strategy;
+  /// Prebuilt per-kernel state (KernelSession.h) to explore over. Unset:
+  /// the job builds a private session from K. Set: K is an empty kernel
+  /// carrying only the session kernel's name, and the job skips
+  /// re-deriving what the session holds.
+  std::shared_ptr<const KernelSession> Session;
 
   BatchJob(std::string Name, Kernel K, ExplorerOptions Opts,
            Mode SearchMode = Mode::Guided)
@@ -51,6 +56,11 @@ struct BatchJob {
            std::string Strategy)
       : Name(std::move(Name)), K(std::move(K)), Opts(std::move(Opts)),
         Strategy(std::move(Strategy)) {}
+  BatchJob(std::string Name, std::shared_ptr<const KernelSession> Session,
+           ExplorerOptions Opts, std::string Strategy)
+      : Name(std::move(Name)), K(Session->source().name()),
+        Opts(std::move(Opts)), Strategy(std::move(Strategy)),
+        Session(std::move(Session)) {}
 };
 
 /// One finished job, in submission order.

@@ -50,6 +50,11 @@ namespace defacto {
 /// and extended per unroll vector; see designCacheKey().
 std::string platformCacheKey(const TargetPlatform &Platform);
 std::string transformCacheKey(const TransformOptions &Opts);
+/// designCacheKey() up to, not including, the unroll vector.
+std::string designCacheKeyPrefix(uint64_t KernelFingerprint,
+                                 const TargetPlatform &Platform,
+                                 const TransformOptions &BaseTransforms,
+                                 std::optional<unsigned> RegisterCap = {});
 std::string designCacheKey(uint64_t KernelFingerprint,
                            const TargetPlatform &Platform,
                            const TransformOptions &BaseTransforms,

@@ -26,10 +26,10 @@
 ///
 /// SearchStrategy implementations (SearchStrategy.h) drive this API;
 /// DesignSpaceExplorer (Explorer.h) is a thin façade over the two
-/// layers. The service also computes the search context every policy
-/// shares — saturation analysis, the unroll space, and the §5.3 loop
-/// preference order — because all three derive from the normalized
-/// kernel the service already owns for the transform pipeline.
+/// layers. The search context every policy shares — saturation
+/// analysis, the unroll space, and the §5.3 loop preference order —
+/// comes from the KernelSession the service is built over, so services
+/// sharing a session never re-derive it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +38,7 @@
 
 #include "defacto/Core/DesignSpace.h"
 #include "defacto/Core/EstimateCache.h"
+#include "defacto/Core/KernelSession.h"
 #include "defacto/Core/Saturation.h"
 #include "defacto/Core/TransformStageCache.h"
 #include "defacto/HLS/Estimator.h"
@@ -46,6 +47,7 @@
 #include "defacto/Support/Trace.h"
 #include "defacto/Transforms/Pipeline.h"
 
+#include <atomic>
 #include <functional>
 #include <future>
 #include <map>
@@ -208,9 +210,12 @@ struct EvaluationFailure {
 class EvaluationService {
 public:
   /// Normalizes \p Opts (default estimator/clock/sleep, private cache
-  /// when none is shared) and computes the shared search context:
-  /// saturation analysis, the unroll space, the normalized pipeline
+  /// when none is shared) over \p Session's search context: saturation
+  /// (Psat for Opts.Platform), the unroll space, the normalized pipeline
   /// context, and the §5.3 unroll preference order.
+  EvaluationService(std::shared_ptr<const KernelSession> Session,
+                    ExplorerOptions Opts);
+  /// Builds a private session over a clone of \p Source.
   EvaluationService(const Kernel &Source, ExplorerOptions Opts);
   ~EvaluationService();
 
@@ -269,16 +274,22 @@ public:
   // Search context: deterministic per-kernel data every policy shares.
   //===--------------------------------------------------------------===//
 
-  const Kernel &source() const { return Source; }
+  const Kernel &source() const { return Session->source(); }
+  /// The per-kernel state this service reads (never null).
+  const std::shared_ptr<const KernelSession> &session() const {
+    return Session;
+  }
   /// The normalized options (never-null Estimator/Clock/Sleep).
   const ExplorerOptions &options() const { return Opts; }
-  const UnrollSpace &space() const { return Space; }
+  const UnrollSpace &space() const { return Session->space(); }
   /// The generalized space composing the unroll lattice with interchange
   /// permutations and tile sizes (shape-validity for DesignPoints).
-  const DesignSpace &designSpace() const { return DSpace; }
+  const DesignSpace &designSpace() const { return Session->designSpace(); }
   const SaturationInfo &saturation() const { return Sat; }
   /// Nest positions in §5.3 unroll-preference order, best first.
-  const std::vector<unsigned> &preference() const { return Preference; }
+  const std::vector<unsigned> &preference() const {
+    return Session->preference();
+  }
 
   //===--------------------------------------------------------------===//
   // Accounting.
@@ -292,6 +303,14 @@ public:
 
   /// Estimator attempts spent so far (retries included).
   unsigned evaluationsUsed() const { return Used; }
+
+  /// Shared estimate-cache lookups this service made that found a
+  /// completed entry (hits) or did not (misses: it computed the design,
+  /// speculatively or not, or waited on another thread's computation).
+  /// Per service, so a daemon can tell a warm request from a cold one
+  /// coalesced into the same batch.
+  uint64_t cacheHits() const { return LookupHits.load(); }
+  uint64_t cacheMisses() const { return LookupMisses.load(); }
 
   /// Designs whose estimation permanently failed, oldest retained entry
   /// first. The log is a bounded ring (MaxFailureLogEntries); this
@@ -397,17 +416,12 @@ private:
   /// "fail-fast").
   void traceBreaker(const char *What);
 
-  const Kernel &Source;
+  std::shared_ptr<const KernelSession> Session; // never null
   ExplorerOptions Opts;
-  SaturationInfo Sat;
-  UnrollSpace Space;
-  DesignSpace DSpace; // the generalized space over Space
-  PipelineContext Ctx; // normalized base kernel, shared across workers
-  uint64_t SourceFp = 0;
-  std::vector<unsigned> Preference; // nest positions, best first
+  SaturationInfo Sat; // the session's, with Psat for Opts.Platform
   std::shared_ptr<EstimateCache> Estimates; // never null
   /// Stage snapshots (never null when FastPath != Off) and the staged
-  /// pipeline over Ctx; unset in Off mode.
+  /// pipeline over the session's context; unset in Off mode.
   std::shared_ptr<TransformStageCache> Stages;
   std::optional<FastPathPipeline> FastPipeline;
   /// No estimator was injected, i.e. the backend is the built-in checked
@@ -424,6 +438,9 @@ private:
   size_t FailLogStart = 0;
   uint64_t DroppedFailures = 0;
   std::string Track; // trace track label (TraceLabel or kernel name)
+  /// designCacheKeyPrefix() of this service: unroll-only points append
+  /// their unroll vector to it.
+  std::string UnrollKeyPrefix;
   /// Decision-event sequence number within this exploration; assigned by
   /// the deterministic walk, so it is identical across thread counts.
   uint64_t DecisionOrdinal = 0;
@@ -431,6 +448,10 @@ private:
   /// ("computed", "hit", "wait", ...): run-variant trace detail.
   const char *LastCacheOutcome = "none";
   unsigned Used = 0;
+  /// Shared-cache lookup outcomes (cacheHits()/cacheMisses()); misses
+  /// are also counted by speculation workers.
+  std::atomic<uint64_t> LookupHits{0};
+  std::atomic<uint64_t> LookupMisses{0};
   /// MaxEvaluations is enforced only between beginBudget()/endBudget();
   /// the exhaustive and random baselines enumerate freely.
   std::optional<unsigned> BudgetCap;

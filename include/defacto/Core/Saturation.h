@@ -29,6 +29,8 @@
 
 namespace defacto {
 
+class PipelineContext;
+
 /// Saturation analysis result.
 struct SaturationInfo {
   /// Uniformly generated read sets with residual memory accesses.
@@ -48,6 +50,17 @@ struct SaturationInfo {
 /// analysis applies normalization and scalar replacement internally to
 /// find the residual accesses; \p Source is not modified.
 SaturationInfo computeSaturation(const Kernel &Source, unsigned NumMemories);
+
+/// computeSaturation() over an already-normalized context: the identical
+/// result, reading the nest shape from Ctx.normalized() instead of
+/// normalizing another clone.
+SaturationInfo computeSaturation(const PipelineContext &Ctx,
+                                 unsigned NumMemories);
+
+/// Psat = lcm(gcd(R, W), NumMemories), with gcd 0 and 0 memories read
+/// as 1. Everything else in SaturationInfo is platform-independent, so
+/// callers holding one analysis re-derive Psat per board with this.
+int64_t saturationPoint(unsigned R, unsigned W, unsigned NumMemories);
 
 } // namespace defacto
 

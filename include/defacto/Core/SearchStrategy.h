@@ -90,6 +90,12 @@ struct ExplorationResult {
   /// consumed from a shared EstimateCache charge the attempts their
   /// original computation cost).
   unsigned EvaluationsUsed = 0;
+  /// This exploration's own shared estimate-cache lookups
+  /// (EvaluationService::cacheHits/cacheMisses; a portfolio sums its
+  /// sub-services'). CacheMisses == 0 means every estimate was already
+  /// cached: the request was served warm.
+  uint64_t CacheHits = 0;
+  uint64_t CacheMisses = 0;
   SaturationInfo Sat;
   uint64_t FullSpaceSize = 0;
   std::string Trace;
@@ -207,10 +213,19 @@ std::unique_ptr<SearchStrategy> createGuidedTileStrategy();
 std::unique_ptr<SearchStrategy>
 createPortfolioStrategy(std::vector<std::string> Strategies = {});
 
+/// Runs \p S over \p Eval and adds the service's estimate-cache lookup
+/// counts to the result. Every entry point runs strategies through here.
+ExplorationResult runSearch(SearchStrategy &S, EvaluationService &Eval);
+
 /// One-call driver: looks \p Name up in the registry, builds a fresh
-/// EvaluationService over \p Source, and runs the strategy. Fails with
+/// EvaluationService over \p Session, and runs the strategy. Fails with
 /// InvalidInput (message lists the registered strategies) for an unknown
 /// name.
+Expected<ExplorationResult>
+exploreWithStrategy(std::shared_ptr<const KernelSession> Session,
+                    const ExplorerOptions &Opts, const std::string &Name);
+
+/// exploreWithStrategy() over a private session for \p Source.
 Expected<ExplorationResult> exploreWithStrategy(const Kernel &Source,
                                                 const ExplorerOptions &Opts,
                                                 const std::string &Name);

@@ -106,13 +106,13 @@ struct ServeResponse {
   bool Fits = true;
   bool Degraded = false;
 
-  /// True when this request's batch consumed only warm cache state (no
-  /// new backend computation) — the repeat-query fast path. Attribution
-  /// is batch-level: a request coalesced with cold neighbours reports
-  /// cold (see docs/SERVING.md).
+  /// True when this request consumed only warm cache state (no new
+  /// backend computation) — the repeat-query fast path. Attribution is
+  /// per request: CacheMisses == 0, whatever its batch neighbours did
+  /// (see docs/SERVING.md).
   bool Warm = false;
-  /// Estimate-cache hit/miss deltas over the batch window that served
-  /// this request.
+  /// This request's own estimate-cache lookups that found a completed
+  /// entry (hits) or did not (misses: computed or waited for).
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
   /// Batch sequence number and how many requests it coalesced.
@@ -127,6 +127,7 @@ struct ServeResponse {
   // Ping extras.
   uint64_t CacheDesigns = 0;
   uint64_t StageCacheEntries = 0;
+  uint64_t SessionEntries = 0;
   uint64_t Requests = 0;
   unsigned ResumedEvaluations = 0;
 

@@ -27,6 +27,12 @@
 ///                 process-lifetime EstimateCache / TransformStageCache /
 ///                 worker pool, then fulfills each request's reply
 ///
+/// Admission resolves each request's kernel through a bounded LRU
+/// KernelSessionCache keyed by request content (kernel name or inline
+/// source), so a repeat request reuses the parsed kernel, its
+/// fingerprint, saturation, normalized nest and dependence analysis
+/// instead of re-deriving them.
+///
 /// Resilience reuses the Core seams wholesale: per-request Cancellation
 /// deadline tokens (expired requests answer "deadline" without spending
 /// budget), per-platform circuit breakers, and the evaluation journal —
@@ -36,10 +42,11 @@
 /// it under SIGKILL).
 ///
 /// Observability: serve.requests/hits/overloads/deadline_misses/errors/
-/// batches counters, the serve.request_us latency histogram, one
-/// "serve.request" trace event per reply, and registerGauges() wires
-/// queue depth / in-flight jobs / cache sizes into a MetricsSampler so
-/// defacto_monitor works unmodified against a live daemon.
+/// batches and cache.session_* counters, the serve.request_us latency
+/// histogram, one "serve.request" trace event per reply, and
+/// registerGauges() wires queue depth / in-flight jobs / cache sizes into
+/// a MetricsSampler so defacto_monitor works unmodified against a live
+/// daemon.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,6 +54,7 @@
 #define DEFACTO_SERVE_SERVER_H
 
 #include "defacto/Core/BatchExplorer.h"
+#include "defacto/Core/KernelSession.h"
 #include "defacto/Serve/Protocol.h"
 #include "defacto/Support/Socket.h"
 
@@ -118,10 +126,19 @@ public:
   /// Asks the daemon loop to exit (signal handlers and tests).
   void requestStop();
 
-  /// The deterministic batch-job label for \p Req over \p K — also the
-  /// journal job key and the trace track, so a restarted daemon (or a
-  /// standalone run in a test) re-derives the identical identity.
+  /// The deterministic batch-job label for \p Req over a kernel with
+  /// fingerprint \p KernelFp — also the journal job key and the trace
+  /// track, so a restarted daemon (or a standalone run in a test)
+  /// re-derives the identical identity.
+  static std::string requestJobName(const ServeRequest &Req,
+                                    uint64_t KernelFp);
+  /// requestJobName() over kernelFingerprint(\p K).
   static std::string requestJobName(const ServeRequest &Req, const Kernel &K);
+
+  /// Bounds of the kernel-session store: entries, and total key bytes
+  /// (a kernel name, or the inline source it was parsed from).
+  static constexpr size_t MaxSessions = 64;
+  static constexpr size_t MaxSessionBytes = 4u << 20;
 
   //===--------------------------------------------------------------===//
   // Warm state and live gauges.
@@ -135,6 +152,7 @@ public:
   const std::shared_ptr<TransformStageCache> &stageCache() const {
     return StageCache;
   }
+  const KernelSessionCache &sessionCache() const { return Sessions; }
 
   /// Journal entries replayed into the cache at start().
   unsigned resumedEvaluations() const { return ResumedEvals; }
@@ -149,8 +167,8 @@ public:
   uint64_t inFlightJobs() const { return InFlight.load(); }
 
   /// Registers the daemon's gauges (serve_queue_depth, serve_in_flight,
-  /// cache_designs, stage_entries, in_flight_evals, breakers_open) on
-  /// \p Sampler. Call before Sampler.start().
+  /// cache_designs, cache_sessions, stage_entries, in_flight_evals,
+  /// breakers_open) on \p Sampler. Call before Sampler.start().
   void registerGauges(MetricsSampler &Sampler);
 
 private:
@@ -162,8 +180,8 @@ private:
   /// Runs one coalesced batch and fulfills every reply.
   void runBatch(std::vector<std::shared_ptr<Pending>> Batch);
   ServeResponse handlePing(const ServeRequest &Req) const;
-  /// Validates an explore request into a Pending (kernel built, platform
-  /// resolved); an error ServeResponse otherwise.
+  /// Validates an explore request into a Pending (kernel session
+  /// resolved, platform resolved); an error ServeResponse otherwise.
   Expected<std::shared_ptr<Pending>> admitPrep(const ServeRequest &Req);
   void emitRequestTrace(const ServeRequest &Req, const ServeResponse &Resp);
   TraceRecorder &recorder() const;
@@ -178,6 +196,7 @@ private:
   std::shared_ptr<CircuitBreakerRegistry> Breakers;
   std::shared_ptr<EvaluationJournal> Journal;
   unsigned ResumedEvals = 0;
+  KernelSessionCache Sessions{MaxSessions, MaxSessionBytes};
 
   std::atomic<bool> Running{false};
   std::atomic<bool> Stop{false};

@@ -26,8 +26,15 @@
 
 namespace defacto {
 
-/// True when swapping nest positions \p PosA and \p PosB preserves all
-/// dependences. Positions index the perfect nest, outermost first.
+class DependenceInfo;
+
+/// True when swapping nest positions \p PosA and \p PosB preserves every
+/// dependence in \p DI. Positions index DI's perfect nest, outermost
+/// first. Callers holding a cached analysis (KernelSession's legality
+/// matrix) ask this instead of re-analyzing the kernel per pair.
+bool canInterchange(const DependenceInfo &DI, unsigned PosA, unsigned PosB);
+
+/// canInterchange() over a fresh dependence analysis of \p K.
 bool canInterchange(Kernel &K, unsigned PosA, unsigned PosB);
 
 /// Swaps the loops at nest positions \p PosA and \p PosB in place.

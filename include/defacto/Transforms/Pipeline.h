@@ -124,12 +124,14 @@ public:
   /// safe to share across worker threads.
   const AnalysisManager &analyses() const { return Analyses; }
 
+  /// kernelFingerprint() of the normalized kernel, computed once at
+  /// construction (the stage cache keys its snapshots by it).
+  uint64_t fingerprint() const { return Fingerprint; }
+
 private:
   Kernel Normalized;
   AnalysisManager Analyses;
-#ifndef NDEBUG
   uint64_t Fingerprint = 0;
-#endif
 };
 
 /// applyPipeline() over a shared context: identical result to the

@@ -30,7 +30,7 @@ void BatchExplorer::addJob(const Kernel &K, ExplorerOptions JobOpts,
 
 namespace {
 
-ExplorationResult runJob(const BatchJob &Job,
+ExplorationResult runJob(BatchJob &Job,
                          const std::shared_ptr<EstimateCache> &Cache,
                          const std::shared_ptr<TraceRecorder> &Trace,
                          const std::shared_ptr<CircuitBreakerRegistry>
@@ -49,20 +49,23 @@ ExplorationResult runJob(const BatchJob &Job,
     Opts.Breakers = Breakers;
   if (Opts.TraceLabel.empty())
     Opts.TraceLabel = Job.Name.empty() ? Job.K.name() : Job.Name;
-  if (!Job.Strategy.empty()) {
-    if (Expected<ExplorationResult> Res =
-            exploreWithStrategy(Job.K, Opts, Job.Strategy))
-      return *Res;
-    // Unknown strategy: degrade to guided rather than abort the batch.
-    ExplorationResult Fallback = DesignSpaceExplorer(Job.K, Opts).run();
-    Fallback.Trace = "unknown strategy '" + Job.Strategy +
-                     "'; fell back to guided\n" + Fallback.Trace;
-    return Fallback;
-  }
-  if (Job.SearchMode == BatchJob::Mode::Exhaustive)
-    return exploreExhaustive(Job.K, Opts);
-  DesignSpaceExplorer Ex(Job.K, std::move(Opts));
-  return Ex.run();
+  // runAll() owns the pending jobs and runs each once, so a job without
+  // a session hands its kernel over instead of cloning it.
+  std::shared_ptr<const KernelSession> Session =
+      Job.Session ? Job.Session : KernelSession::create(std::move(Job.K));
+  std::string Strategy = Job.Strategy;
+  if (Strategy.empty())
+    Strategy =
+        Job.SearchMode == BatchJob::Mode::Exhaustive ? "exhaustive" : "guided";
+  if (Expected<ExplorationResult> Res =
+          exploreWithStrategy(Session, Opts, Strategy))
+    return Res.takeValue();
+  // Unknown strategy: degrade to guided rather than abort the batch.
+  ExplorationResult Fallback =
+      exploreWithStrategy(std::move(Session), Opts, "guided").takeValue();
+  Fallback.Trace = "unknown strategy '" + Job.Strategy +
+                   "'; fell back to guided\n" + Fallback.Trace;
+  return Fallback;
 }
 
 /// Journals \p Result's winner summary; when the journal already held a

@@ -64,19 +64,28 @@ std::string defacto::transformCacheKey(const TransformOptions &Opts) {
   return OS.str();
 }
 
-std::string defacto::designCacheKey(uint64_t KernelFingerprint,
-                                    const TargetPlatform &Platform,
-                                    const TransformOptions &BaseTransforms,
-                                    const UnrollVector &U,
-                                    std::optional<unsigned> RegisterCap) {
+std::string defacto::designCacheKeyPrefix(
+    uint64_t KernelFingerprint, const TargetPlatform &Platform,
+    const TransformOptions &BaseTransforms,
+    std::optional<unsigned> RegisterCap) {
   std::ostringstream OS;
   OS << std::hex << KernelFingerprint << std::dec << '|'
      << platformCacheKey(Platform) << '|'
      << transformCacheKey(BaseTransforms) << '|';
   if (RegisterCap)
     OS << "rc" << *RegisterCap;
-  OS << '|' << unrollVectorToString(U);
+  OS << '|';
   return OS.str();
+}
+
+std::string defacto::designCacheKey(uint64_t KernelFingerprint,
+                                    const TargetPlatform &Platform,
+                                    const TransformOptions &BaseTransforms,
+                                    const UnrollVector &U,
+                                    std::optional<unsigned> RegisterCap) {
+  return designCacheKeyPrefix(KernelFingerprint, Platform, BaseTransforms,
+                              RegisterCap) +
+         unrollVectorToString(U);
 }
 
 EstimateCache::EstimateCache(unsigned NumShards) {

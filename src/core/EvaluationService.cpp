@@ -6,7 +6,6 @@
 
 #include "defacto/Core/EvaluationService.h"
 
-#include "defacto/Analysis/DependenceAnalysis.h"
 #include "defacto/Core/CircuitBreaker.h"
 #include "defacto/Core/SearchStrategy.h"
 #include "defacto/IR/IRUtils.h"
@@ -35,12 +34,10 @@ DEFACTO_STATISTIC(NumParityViolations, "fastpath", "parity_violations",
                   "verify-mode attempts where fast and slow estimates "
                   "disagreed");
 
-EvaluationService::EvaluationService(const Kernel &Source,
-                                     ExplorerOptions Opts)
-    : Source(Source), Opts(std::move(Opts)),
-      Sat(computeSaturation(Source, this->Opts.Platform.NumMemories)),
-      Space(Sat.Trips.empty() ? std::vector<int64_t>{1} : Sat.Trips),
-      DSpace(Space), Ctx(Source), SourceFp(kernelFingerprint(Source)) {
+EvaluationService::EvaluationService(
+    std::shared_ptr<const KernelSession> Session, ExplorerOptions Opts)
+    : Session(std::move(Session)), Opts(std::move(Opts)),
+      Sat(this->Session->saturation(this->Opts.Platform.NumMemories)) {
   DefaultEstimator = !this->Opts.Estimator;
   if (!this->Opts.Estimator)
     this->Opts.Estimator = [](const Kernel &K, const TargetPlatform &P) {
@@ -63,46 +60,20 @@ EvaluationService::EvaluationService(const Kernel &Source,
   if (this->Opts.FastPath != FastPathMode::Off) {
     Stages = this->Opts.StageCache ? this->Opts.StageCache
                                    : std::make_shared<TransformStageCache>();
-    FastPipeline.emplace(Ctx, Stages);
+    FastPipeline.emplace(this->Session->context(), Stages);
   }
-  Track = this->Opts.TraceLabel.empty() ? Source.name()
+  Track = this->Opts.TraceLabel.empty() ? source().name()
                                         : this->Opts.TraceLabel;
+  UnrollKeyPrefix =
+      designCacheKeyPrefix(this->Session->fingerprint(), this->Opts.Platform,
+                           this->Opts.BaseTransforms, this->Opts.RegisterCap);
   StartSeconds = this->Opts.Clock();
-  // Build the unroll preference order (§5.3): loops carrying no
-  // dependence first (their unrolled iterations are fully parallel),
-  // then loops by decreasing minimum carried distance; within a class,
-  // loops that add memory parallelism come first. The dependence
-  // analysis is unroll-invariant, so it is served from the context's
-  // AnalysisManager, warmed once at construction — no clone, no
-  // recompute.
-  const DependenceInfo &DI = *Ctx.analyses().cachedDependence();
-  unsigned N = Sat.Trips.size();
-  struct Rank {
-    unsigned Pos;
-    bool DepFree;
-    bool MemVarying;
-    int64_t MinDist;
-  };
-  std::vector<Rank> Ranks;
-  for (unsigned P = 0; P != N; ++P) {
-    Rank R;
-    R.Pos = P;
-    R.DepFree = DI.carriesNoDependence(P);
-    R.MemVarying = P < Sat.MemoryVarying.size() && Sat.MemoryVarying[P];
-    R.MinDist = DI.minCarriedDistance(P).value_or(0);
-    Ranks.push_back(R);
-  }
-  std::stable_sort(Ranks.begin(), Ranks.end(), [](const Rank &A,
-                                                  const Rank &B) {
-    if (A.DepFree != B.DepFree)
-      return A.DepFree;
-    if (A.MemVarying != B.MemVarying)
-      return A.MemVarying;
-    return A.MinDist > B.MinDist;
-  });
-  for (const Rank &R : Ranks)
-    Preference.push_back(R.Pos);
 }
+
+EvaluationService::EvaluationService(const Kernel &Source,
+                                     ExplorerOptions Opts)
+    : EvaluationService(KernelSession::create(Source.clone()),
+                        std::move(Opts)) {}
 
 EvaluationService::~EvaluationService() { drainSpeculation(); }
 
@@ -121,12 +92,14 @@ EvaluationService::transformOptionsFor(const DesignPoint &P) const {
 std::string EvaluationService::cacheKey(const DesignPoint &P) const {
   // For unroll-only points the extra dimensions default and the key is
   // byte-identical to the historical designCacheKey of P.Unroll.
+  if (P.isUnrollOnly())
+    return UnrollKeyPrefix + unrollVectorToString(P.Unroll);
   TransformOptions TO = Opts.BaseTransforms;
   if (P.Tile)
     TO.StripMine = P.Tile;
   if (!P.Interchange.empty())
     TO.Interchange = P.Interchange;
-  return designCacheKey(SourceFp, Opts.Platform, TO, P.Unroll,
+  return designCacheKey(Session->fingerprint(), Opts.Platform, TO, P.Unroll,
                         Opts.RegisterCap);
 }
 
@@ -277,7 +250,7 @@ Expected<SynthesisEstimate>
 EvaluationService::computeSlow(const DesignPoint &P) const {
   TransformOptions TO = transformOptionsFor(P);
 
-  TransformResult R = applyPipeline(Ctx, TO);
+  TransformResult R = applyPipeline(Session->context(), TO);
   if (!R.ok())
     return R.Error;
   Expected<SynthesisEstimate> Est = invokeBackend(R.K, P, false);
@@ -292,7 +265,7 @@ EvaluationService::computeSlow(const DesignPoint &P) const {
     while (Est->Registers > *Opts.RegisterCap && ChainLimit > 1) {
       ChainLimit /= 2;
       TO.SR.MaxChainLength = ChainLimit;
-      TransformResult Capped = applyPipeline(Ctx, TO);
+      TransformResult Capped = applyPipeline(Session->context(), TO);
       if (!Capped.ok())
         return Capped.Error;
       Est = invokeBackend(Capped.K, P, false);
@@ -510,11 +483,11 @@ EvaluationService::evaluateChecked(const DesignPoint &P) {
   // message (strategy traces compare them); multi-dimensional points go
   // through the generalized shape check.
   if (P.isUnrollOnly()) {
-    if (!Space.isCandidate(P.Unroll))
+    if (!space().isCandidate(P.Unroll))
       return Status::error(ErrorCode::InvalidInput,
                            unrollVectorToString(P.Unroll) +
                                " is not a candidate unroll vector");
-  } else if (!DSpace.isCandidate(P)) {
+  } else if (!designSpace().isCandidate(P)) {
     return Status::error(ErrorCode::InvalidInput,
                          P.toString() + " is not a candidate design point");
   }
@@ -533,15 +506,19 @@ EvaluationService::evaluateChecked(const DesignPoint &P) {
     switch (Served) {
     case EstimateCache::Outcome::Hit:
       LastCacheOutcome = "hit";
+      ++LookupHits;
       break;
     case EstimateCache::Outcome::NegativeHit:
       LastCacheOutcome = "negative-hit";
+      ++LookupHits;
       break;
     case EstimateCache::Outcome::Wait:
       LastCacheOutcome = "wait";
+      ++LookupMisses;
       break;
     case EstimateCache::Outcome::Miss:
       LastCacheOutcome = "computed";
+      ++LookupMisses;
       break;
     }
     if (auto *Done = std::get_if<EstimateCache::Result>(&Found)) {
@@ -727,13 +704,14 @@ void EvaluationService::prefetchPoints(
   if (!Workers)
     return;
   for (const DesignPoint &P : Candidates) {
-    if (P.isUnrollOnly() ? !Space.isCandidate(P.Unroll)
-                         : !DSpace.isCandidate(P))
+    if (P.isUnrollOnly() ? !space().isCandidate(P.Unroll)
+                         : !designSpace().isCandidate(P))
       continue;
     ++NumSpeculated;
     Speculation.push_back(Workers->submit([this, P] {
       auto Found = Estimates->lookupOrBegin(cacheKey(P));
       if (auto *Ticket = std::get_if<EstimateCache::Ticket>(&Found)) {
+        ++LookupMisses;
         // Spans from worker threads show the estimation overlap in the
         // Perfetto timeline; they are run-variant by nature and excluded
         // from the deterministic decision digest.

@@ -15,8 +15,7 @@ DesignSpaceExplorer::DesignSpaceExplorer(const Kernel &Source,
 DesignSpaceExplorer::~DesignSpaceExplorer() = default;
 
 ExplorationResult DesignSpaceExplorer::run() {
-  SearchContext SC{Svc.source(), Svc.options(), Svc};
-  return createGuidedStrategy()->search(SC);
+  return runSearch(*createGuidedStrategy(), Svc);
 }
 
 Expected<ExplorationResult>
@@ -27,21 +26,18 @@ DesignSpaceExplorer::runWithStrategy(const std::string &Name) {
                          "unknown search strategy '" + Name +
                              "'; registered strategies:\n" +
                              StrategyRegistry::instance().describe());
-  SearchContext SC{Svc.source(), Svc.options(), Svc};
-  return S->search(SC);
+  return runSearch(*S, Svc);
 }
 
 ExplorationResult defacto::exploreExhaustive(const Kernel &Source,
                                              const ExplorerOptions &Opts) {
   EvaluationService Eval(Source, Opts);
-  SearchContext SC{Source, Eval.options(), Eval};
-  return createExhaustiveStrategy()->search(SC);
+  return runSearch(*createExhaustiveStrategy(), Eval);
 }
 
 ExplorationResult defacto::exploreRandom(const Kernel &Source,
                                          const ExplorerOptions &Opts,
                                          unsigned Samples, uint64_t Seed) {
   EvaluationService Eval(Source, Opts);
-  SearchContext SC{Source, Eval.options(), Eval};
-  return createRandomStrategy(Samples, Seed)->search(SC);
+  return runSearch(*createRandomStrategy(Samples, Seed), Eval);
 }

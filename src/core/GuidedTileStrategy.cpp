@@ -16,9 +16,6 @@
 
 #include "defacto/Core/SearchStrategy.h"
 
-#include "defacto/Transforms/Interchange.h"
-#include "defacto/Transforms/Normalize.h"
-
 #include <algorithm>
 #include <cmath>
 
@@ -84,10 +81,9 @@ ExplorationResult GuidedTileStrategy::search(const SearchContext &SC) {
   std::vector<std::pair<DesignPoint, const char *>> Points;
 
   if (N >= 2) {
-    // Dependence legality is checked once on a normalized clone of the
-    // source — exactly the nest the pipeline's interchange pass sees.
-    Kernel Legal = SC.Source.clone();
-    normalizeLoops(Legal);
+    // Dependence legality over the normalized nest — exactly the nest the
+    // pipeline's interchange pass sees — precomputed by the session.
+    const KernelSession &Session = *Eval.session();
     for (const std::vector<unsigned> &Perm : DS.pairSwaps()) {
       unsigned A = N, B = N;
       for (unsigned I = 0; I != N; ++I)
@@ -96,7 +92,7 @@ ExplorationResult GuidedTileStrategy::search(const SearchContext &SC) {
           B = Perm[I];
           break;
         }
-      if (A == N || !canInterchange(Legal, A, B))
+      if (A == N || !Session.canInterchange(A, B))
         continue;
       DesignPoint P;
       P.Interchange = Perm;

@@ -67,14 +67,15 @@ ExplorationResult PortfolioStrategy::search(const SearchContext &SC) {
     // both reach costs one estimation.
     SubOpts.Cache = Eval.estimateCache();
     SubOpts.TraceLabel = Eval.trackLabel() + "/" + Name;
-    EvaluationService SubEval(SC.Source, SubOpts);
+    EvaluationService SubEval(Eval.session(), SubOpts);
     // Arm the split budget even for strategies (exhaustive, random) that
     // do not arm one themselves; strategies that do overwrite it with the
     // same cap.
     SubEval.beginBudget(Share);
-    SearchContext SubSC{SC.Source, SubEval.options(), SubEval};
-    ExplorationResult Sub = S->search(SubSC);
+    ExplorationResult Sub = runSearch(*S, SubEval);
     Res.EvaluationsUsed += Sub.EvaluationsUsed;
+    Res.CacheHits += Sub.CacheHits;
+    Res.CacheMisses += Sub.CacheMisses;
     Res.Trace += Name + ": " + Sub.toString() + "\n";
     Res.SubResults.push_back(std::move(Sub));
   }

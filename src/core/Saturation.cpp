@@ -42,18 +42,16 @@ void collectSteadyAccesses(StmtList &Stmts, bool InGuard,
   }
 }
 
-} // namespace
-
-SaturationInfo defacto::computeSaturation(const Kernel &Source,
-                                          unsigned NumMemories) {
+/// The shared analysis: \p Norm is the normalized source nest, \p R the
+/// scalar-replaced pipeline result (no unrolling, peeling or layout).
+SaturationInfo analyze(const Kernel &Norm, TransformResult R,
+                       unsigned NumMemories) {
   SaturationInfo Info;
 
   // The nest shape comes from the normalized source (scalar replacement
   // hoists loads between nest levels, which would otherwise hide outer
   // loops behind imperfect bodies). Loop ids are stable across the
   // pipeline's clone, so positions can be matched by id.
-  Kernel Norm = Source.clone();
-  normalizeLoops(Norm);
   ForStmt *SrcTop = Norm.topLoop();
   if (!SrcTop)
     return Info;
@@ -64,13 +62,8 @@ SaturationInfo defacto::computeSaturation(const Kernel &Source,
   }
   Info.MemoryVarying.assign(NestIds.size(), false);
 
-  // Residual accesses after scalar replacement (no unrolling, no peeling
-  // or layout: the guards mark the non-steady accesses).
-  TransformOptions Opts;
-  Opts.EnablePeeling = false;
-  Opts.EnableDataLayout = false;
-  TransformResult R = applyPipeline(Source, Opts);
-
+  // Residual accesses after scalar replacement (the guards mark the
+  // non-steady accesses).
   std::vector<ArrayAccessExpr *> Steady;
   collectSteadyAccesses(R.K.body(), /*InGuard=*/false, Steady);
 
@@ -110,10 +103,7 @@ SaturationInfo defacto::computeSaturation(const Kernel &Source,
   Info.R = Part.numReadSets();
   Info.W = Part.numWriteSets();
 
-  int64_t G = gcd64(Info.R, Info.W);
-  if (G == 0)
-    G = 1;
-  Info.Psat = lcm64(G, NumMemories == 0 ? 1 : NumMemories);
+  Info.Psat = saturationPoint(Info.R, Info.W, NumMemories);
 
   for (ArrayAccessExpr *Acc : Steady)
     for (const AffineExpr &Sub : Acc->subscripts())
@@ -123,4 +113,37 @@ SaturationInfo defacto::computeSaturation(const Kernel &Source,
             Info.MemoryVarying[P] = true;
 
   return Info;
+}
+
+/// The pipeline configuration saturation analyzes: scalar replacement
+/// without unrolling, peeling or layout.
+TransformOptions residualOptions() {
+  TransformOptions Opts;
+  Opts.EnablePeeling = false;
+  Opts.EnableDataLayout = false;
+  return Opts;
+}
+
+} // namespace
+
+int64_t defacto::saturationPoint(unsigned R, unsigned W,
+                                 unsigned NumMemories) {
+  int64_t G = gcd64(R, W);
+  if (G == 0)
+    G = 1;
+  return lcm64(G, NumMemories == 0 ? 1 : NumMemories);
+}
+
+SaturationInfo defacto::computeSaturation(const Kernel &Source,
+                                          unsigned NumMemories) {
+  Kernel Norm = Source.clone();
+  normalizeLoops(Norm);
+  return analyze(Norm, applyPipeline(Source, residualOptions()),
+                 NumMemories);
+}
+
+SaturationInfo defacto::computeSaturation(const PipelineContext &Ctx,
+                                          unsigned NumMemories) {
+  return analyze(Ctx.normalized(), applyPipeline(Ctx, residualOptions()),
+                 NumMemories);
 }

@@ -215,8 +215,18 @@ std::unique_ptr<SearchStrategy> defacto::createRandomStrategy(unsigned Samples,
   return std::make_unique<RandomStrategy>(Samples, Seed);
 }
 
+ExplorationResult defacto::runSearch(SearchStrategy &S,
+                                     EvaluationService &Eval) {
+  SearchContext SC{Eval.source(), Eval.options(), Eval};
+  ExplorationResult Res = S.search(SC);
+  Res.CacheHits += Eval.cacheHits();
+  Res.CacheMisses += Eval.cacheMisses();
+  return Res;
+}
+
 Expected<ExplorationResult>
-defacto::exploreWithStrategy(const Kernel &Source, const ExplorerOptions &Opts,
+defacto::exploreWithStrategy(std::shared_ptr<const KernelSession> Session,
+                             const ExplorerOptions &Opts,
                              const std::string &Name) {
   std::unique_ptr<SearchStrategy> S = StrategyRegistry::instance().create(Name);
   if (!S)
@@ -224,7 +234,13 @@ defacto::exploreWithStrategy(const Kernel &Source, const ExplorerOptions &Opts,
                          "unknown search strategy '" + Name +
                              "'; registered strategies:\n" +
                              StrategyRegistry::instance().describe());
-  EvaluationService Eval(Source, Opts);
-  SearchContext SC{Source, Eval.options(), Eval};
-  return S->search(SC);
+  EvaluationService Eval(std::move(Session), Opts);
+  return runSearch(*S, Eval);
+}
+
+Expected<ExplorationResult>
+defacto::exploreWithStrategy(const Kernel &Source, const ExplorerOptions &Opts,
+                             const std::string &Name) {
+  return exploreWithStrategy(KernelSession::create(Source.clone()), Opts,
+                             Name);
 }

@@ -170,7 +170,7 @@ TransformStageCache::Stats TransformStageCache::stats() const {
 FastPathPipeline::FastPathPipeline(const PipelineContext &Ctx,
                                    std::shared_ptr<TransformStageCache> Cache)
     : Ctx(Ctx), Cache(std::move(Cache)),
-      SourceFp(kernelFingerprint(Ctx.normalized())) {}
+      SourceFp(Ctx.fingerprint()) {}
 
 TransformStageCache::EntryPtr
 FastPathPipeline::buildStage(const TransformOptions &Opts,

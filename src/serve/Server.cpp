@@ -67,12 +67,12 @@ std::optional<TargetPlatform> platformByName(const std::string &Name) {
 /// One admitted explore request waiting for (or receiving) its batch.
 struct DseServer::Pending {
   ServeRequest Req;
-  Kernel K;
+  std::shared_ptr<const KernelSession> Session;
   TargetPlatform Platform = TargetPlatform::wildstarPipelined();
   /// Self-cancels at the request deadline (invalid when none).
   CancellationToken Deadline;
   double DeadlineAtSeconds = 0; // absolute, steady clock; 0 = none
-  double EnqueueUs = 0;
+  double AdmitUs = 0; // admission start: latency covers session setup
   uint64_t Seq = 0;
   /// Stable request identity: the batch-job label, the journal job key,
   /// and the trace track.
@@ -80,8 +80,6 @@ struct DseServer::Pending {
   /// Per-request recorder when the client asked for the decision digest.
   std::shared_ptr<TraceRecorder> DigestTrace;
   std::promise<ServeResponse> Reply;
-
-  explicit Pending(Kernel K) : K(std::move(K)) {}
 };
 
 DseServer::DseServer(ServeOptions O) : Opts(std::move(O)) {
@@ -291,6 +289,7 @@ ServeResponse DseServer::handlePing(const ServeRequest &Req) const {
   R.RStatus = ServeStatus::Pong;
   R.CacheDesigns = Cache->size();
   R.StageCacheEntries = StageCache ? StageCache->size() : 0;
+  R.SessionEntries = Sessions.size();
   R.Requests = Requests.load();
   R.ResumedEvaluations = ResumedEvals;
   return R;
@@ -298,6 +297,7 @@ ServeResponse DseServer::handlePing(const ServeRequest &Req) const {
 
 Expected<std::shared_ptr<DseServer::Pending>>
 DseServer::admitPrep(const ServeRequest &Req) {
+  const double AdmitUs = nowUs();
   std::optional<TargetPlatform> Platform = platformByName(Req.Platform);
   if (!Platform)
     return Status::error(ErrorCode::InvalidInput,
@@ -317,27 +317,41 @@ DseServer::admitPrep(const ServeRequest &Req) {
                            "bad pipeline: " + Parsed.status().message());
   }
 
-  std::optional<Kernel> K;
+  // The session key is the request content the kernel is built from: the
+  // name of a built-in kernel, or the inline source with the name it is
+  // parsed under.
   std::string KernelName = Req.Kernel;
+  std::string Key;
   if (!Req.Source.empty()) {
     if (KernelName.empty())
       KernelName = "custom";
-    DiagnosticEngine Diags;
-    K = parseKernel(Req.Source, KernelName, Diags);
-    if (!K)
-      return Status::error(ErrorCode::InvalidInput,
-                           "kernel source rejected:\n" + Diags.toString());
+    Key = "source:" + KernelName + '\n' + Req.Source;
   } else {
     if (!findKernelSpec(KernelName))
       return Status::error(ErrorCode::InvalidInput,
                            "unknown kernel '" + KernelName + "'");
-    K = buildKernel(KernelName);
+    Key = "kernel:" + KernelName;
   }
+  Expected<std::shared_ptr<const KernelSession>> Session =
+      Sessions.getOrBuild(Key, [&]() -> Expected<Kernel> {
+        if (Req.Source.empty())
+          return buildKernel(KernelName);
+        DiagnosticEngine Diags;
+        std::optional<Kernel> K = parseKernel(Req.Source, KernelName, Diags);
+        if (!K)
+          return Status::error(ErrorCode::InvalidInput,
+                               "kernel source rejected:\n" +
+                                   Diags.toString());
+        return std::move(*K);
+      });
+  if (!Session)
+    return Session.status();
 
-  auto P = std::make_shared<Pending>(std::move(*K));
+  auto P = std::make_shared<Pending>();
   P->Req = Req;
+  P->Session = std::move(*Session);
   P->Platform = *Platform;
-  P->JobName = requestJobName(Req, P->K);
+  P->JobName = requestJobName(Req, P->Session->fingerprint());
   if (Req.WantDigest) {
     P->DigestTrace = std::make_shared<TraceRecorder>();
     P->DigestTrace->setEnabled(true);
@@ -347,13 +361,18 @@ DseServer::admitPrep(const ServeRequest &Req) {
     P->Deadline = CancellationToken::withDeadline(
         P->DeadlineAtSeconds, &nowSeconds, "request deadline");
   }
-  P->EnqueueUs = nowUs();
+  P->AdmitUs = AdmitUs;
   P->Seq = NextSeq.fetch_add(1);
   return P;
 }
 
 std::string DseServer::requestJobName(const ServeRequest &Req,
                                       const Kernel &K) {
+  return requestJobName(Req, kernelFingerprint(K));
+}
+
+std::string DseServer::requestJobName(const ServeRequest &Req,
+                                      uint64_t KernelFp) {
   // The job name doubles as the journal job key and the digest's trace
   // track, so it must be a pure function of the request content — a
   // restarted daemon (or a standalone verification run) re-derives the
@@ -363,7 +382,7 @@ std::string DseServer::requestJobName(const ServeRequest &Req,
   std::ostringstream Name;
   char Fp[32];
   std::snprintf(Fp, sizeof(Fp), "%016llx",
-                static_cast<unsigned long long>(kernelFingerprint(K)));
+                static_cast<unsigned long long>(KernelFp));
   Name << KernelName << '#' << Fp << " @ " << Req.Platform << " ; "
        << Req.Strategy;
   if (!Req.Pipeline.empty())
@@ -403,7 +422,7 @@ void DseServer::runBatch(std::vector<std::shared_ptr<Pending>> Batch) {
       R.Id = P->Req.Id;
       R.RStatus = ServeStatus::Deadline;
       R.Reason = "deadline expired before evaluation began";
-      R.LatencyUs = nowUs() - P->EnqueueUs;
+      R.LatencyUs = nowUs() - P->AdmitUs;
       DeadlineMisses.fetch_add(1);
       ++NumServeDeadlineMisses;
       requestHistogram().record(
@@ -424,7 +443,10 @@ void DseServer::runBatch(std::vector<std::shared_ptr<Pending>> Batch) {
   BatchOptions B;
   B.NumThreads = std::min<unsigned>(std::max(1u, Opts.NumThreads),
                                     static_cast<unsigned>(Live.size()));
-  B.Pool = Pool;
+  // A lone job runs inline on this worker: handing it to the pool would
+  // only add a thread handoff (two wakeups) to its latency.
+  if (Live.size() > 1)
+    B.Pool = Pool;
   B.Cache = Cache;
   B.Journal = Journal;
   B.Breakers = Breakers;
@@ -443,15 +465,10 @@ void DseServer::runBatch(std::vector<std::shared_ptr<Pending>> Batch) {
     if (P->DeadlineAtSeconds > 0)
       O.DeadlineSeconds = std::max(1e-3, P->DeadlineAtSeconds - nowSeconds());
     Engine.addJob(
-        BatchJob(P->JobName, P->K.clone(), std::move(O), P->Req.Strategy));
+        BatchJob(P->JobName, P->Session, std::move(O), P->Req.Strategy));
   }
 
-  EstimateCache::Stats Before = Cache->stats();
   std::vector<BatchResult> Results = Engine.runAll();
-  EstimateCache::Stats After = Cache->stats();
-  const uint64_t HitsDelta = After.Hits - Before.Hits;
-  const uint64_t MissesDelta = After.Misses - Before.Misses;
-  const bool Warm = MissesDelta == 0;
 
   for (size_t I = 0; I != Results.size() && I != Live.size(); ++I) {
     const std::shared_ptr<Pending> &P = Live[I];
@@ -474,15 +491,17 @@ void DseServer::runBatch(std::vector<std::shared_ptr<Pending>> Batch) {
     R.Evaluations = E.EvaluationsUsed;
     R.Fits = E.SelectedFits;
     R.Degraded = E.Degraded;
-    R.Warm = Warm;
-    R.CacheHits = HitsDelta;
-    R.CacheMisses = MissesDelta;
+    // Warmth is the job's own: a warm request coalesced with a cold one
+    // still reports warm.
+    R.Warm = E.CacheMisses == 0;
+    R.CacheHits = E.CacheHits;
+    R.CacheMisses = E.CacheMisses;
     R.BatchSeq = Seq;
     R.BatchSize = static_cast<unsigned>(Live.size());
-    R.LatencyUs = nowUs() - P->EnqueueUs;
+    R.LatencyUs = nowUs() - P->AdmitUs;
     if (P->DigestTrace)
       R.Digest = digestHash(P->DigestTrace->decisionDigest());
-    if (Warm) {
+    if (R.Warm) {
       WarmHits.fetch_add(1);
       ++NumServeHits;
     }
@@ -522,6 +541,8 @@ void DseServer::registerGauges(MetricsSampler &Sampler) {
                    [this] { return static_cast<double>(InFlight.load()); });
   Sampler.setGauge("cache_designs",
                    [this] { return static_cast<double>(Cache->size()); });
+  Sampler.setGauge("cache_sessions",
+                   [this] { return static_cast<double>(Sessions.size()); });
   if (StageCache)
     Sampler.setGauge("stage_entries", [this] {
       return static_cast<double>(StageCache->size());

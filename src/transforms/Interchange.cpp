@@ -13,15 +13,12 @@
 
 using namespace defacto;
 
-bool defacto::canInterchange(Kernel &K, unsigned PosA, unsigned PosB) {
-  ForStmt *Top = K.topLoop();
-  if (!Top)
-    return false;
-  std::vector<ForStmt *> Nest = perfectNest(Top);
-  if (PosA >= Nest.size() || PosB >= Nest.size() || PosA == PosB)
+bool defacto::canInterchange(const DependenceInfo &DI, unsigned PosA,
+                             unsigned PosB) {
+  size_t Depth = DI.nest().size();
+  if (PosA >= Depth || PosB >= Depth || PosA == PosB)
     return false;
 
-  DependenceInfo DI = DependenceInfo::compute(K);
   for (const Dependence &Dep : DI.dependences()) {
     if (Dep.Kind == DepKind::Input)
       continue;
@@ -42,6 +39,10 @@ bool defacto::canInterchange(Kernel &K, unsigned PosA, unsigned PosB) {
     }
   }
   return true;
+}
+
+bool defacto::canInterchange(Kernel &K, unsigned PosA, unsigned PosB) {
+  return canInterchange(DependenceInfo::compute(K), PosA, PosB);
 }
 
 bool defacto::interchangeLoops(Kernel &K, unsigned PosA, unsigned PosB) {

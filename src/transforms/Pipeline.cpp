@@ -90,9 +90,7 @@ PipelineContext::PipelineContext(const Kernel &Source)
   // Warm the unroll-invariant analyses so per-design evaluation never
   // recomputes them (EvaluationService reads cachedDependence()).
   Analyses.dependence(Normalized);
-#ifndef NDEBUG
   Fingerprint = kernelFingerprint(Normalized);
-#endif
 }
 
 void PipelineContext::assertUnchanged() const {

@@ -43,6 +43,10 @@ TEST(ThreadPool, RunsEverySubmittedTask) {
     Futures.push_back(Pool.submit([&Count] { ++Count; }));
   for (auto &F : Futures)
     F.wait();
+  // A task is counted as run only after its future is fulfilled, so the
+  // counter can trail the futures; wait() returns once every task has
+  // been counted.
+  Pool.wait();
   EXPECT_EQ(Count.load(), 100);
   EXPECT_GE(Pool.tasksRun(), 100u);
 }

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "defacto/Analysis/DependenceAnalysis.h"
 #include "defacto/Frontend/Parser.h"
 #include "defacto/IR/IRPrinter.h"
 #include "defacto/IR/IRUtils.h"
@@ -27,6 +28,18 @@ Kernel parseOrDie(const std::string &Src) {
   EXPECT_TRUE(K.has_value()) << Diags.toString();
   return std::move(*K);
 }
+
+// A[i][j] = A[i-1][j+1]: distance (1, -1), negative once interchanged.
+const char *const SkewedAntiSource = "int A[18][18];\n"
+                                     "for (i = 1; i < 17; i++)\n"
+                                     "  for (j = 1; j < 17; j++)\n"
+                                     "    A[i][j] = A[i - 1][j + 1] + 1;\n";
+
+// A[i][j] = A[i-1][j-1]: distance (1, 1), positive either way.
+const char *const SkewedFlowSource = "int A[18][18];\n"
+                                     "for (i = 1; i < 17; i++)\n"
+                                     "  for (j = 1; j < 17; j++)\n"
+                                     "    A[i][j] = A[i - 1][j - 1] + 1;\n";
 
 } // namespace
 
@@ -55,12 +68,9 @@ TEST(Interchange, PreservesSemanticsOnAllKernels) {
 }
 
 TEST(Interchange, RejectsIllegalSwap) {
-  // A[i][j] = A[i-1][j+1]: distance (1, -1). Interchanged it becomes
-  // (-1, 1): lexicographically negative, so the swap must be rejected.
-  Kernel K = parseOrDie("int A[18][18];\n"
-                        "for (i = 1; i < 17; i++)\n"
-                        "  for (j = 1; j < 17; j++)\n"
-                        "    A[i][j] = A[i - 1][j + 1] + 1;\n");
+  // Distance (1, -1) interchanged becomes (-1, 1): lexicographically
+  // negative, so the swap must be rejected.
+  Kernel K = parseOrDie(SkewedAntiSource);
   EXPECT_FALSE(canInterchange(K, 0, 1));
   auto Reference = simulate(K, 2);
   EXPECT_FALSE(interchangeLoops(K, 0, 1));
@@ -69,14 +79,31 @@ TEST(Interchange, RejectsIllegalSwap) {
 
 TEST(Interchange, AllowsLegalSkewedDependence) {
   // Distance (1, 1) stays lexicographically positive either way.
-  Kernel K = parseOrDie("int A[18][18];\n"
-                        "for (i = 1; i < 17; i++)\n"
-                        "  for (j = 1; j < 17; j++)\n"
-                        "    A[i][j] = A[i - 1][j - 1] + 1;\n");
+  Kernel K = parseOrDie(SkewedFlowSource);
   EXPECT_TRUE(canInterchange(K, 0, 1));
   auto Reference = simulate(K, 2);
   ASSERT_TRUE(interchangeLoops(K, 0, 1));
   EXPECT_EQ(simulate(K, 2), Reference);
+}
+
+TEST(Interchange, CachedAnalysisAgreesWithPerKernelCheck) {
+  // The DependenceInfo overload (what KernelSession's legality matrix is
+  // built from) must decide exactly like the per-kernel check, for every
+  // pair including out-of-range positions.
+  std::vector<Kernel> Fixtures;
+  Fixtures.push_back(parseOrDie(SkewedAntiSource));
+  Fixtures.push_back(parseOrDie(SkewedFlowSource));
+  for (const auto *Specs : {&paperKernels(), &extendedKernels()})
+    for (const KernelSpec &Spec : *Specs)
+      Fixtures.push_back(buildKernel(Spec.Name));
+  for (Kernel &K : Fixtures) {
+    DependenceInfo DI = DependenceInfo::compute(K);
+    unsigned Depth = DI.nest().size();
+    for (unsigned A = 0; A <= Depth; ++A)
+      for (unsigned B = 0; B <= Depth; ++B)
+        EXPECT_EQ(canInterchange(DI, A, B), canInterchange(K, A, B))
+            << K.name() << " (" << A << ", " << B << ")";
+  }
 }
 
 TEST(Interchange, RejectsBadPositions) {

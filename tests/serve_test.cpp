@@ -16,6 +16,7 @@
 #include "defacto/Serve/Server.h"
 #include "defacto/Support/MetricsSampler.h"
 #include "defacto/Kernels/Kernels.h"
+#include "defacto/Support/Json.h"
 #include "defacto/Transforms/UnrollAndJam.h"
 
 #include "gtest/gtest.h"
@@ -24,6 +25,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <thread>
 #include <unistd.h>
 
@@ -61,6 +63,31 @@ ServeRequest exploreFIR(unsigned Budget = 30) {
   Req.Budget = Budget;
   Req.WantDigest = true;
   return Req;
+}
+
+/// A small inline FIR whose outer trip count is 8 + \p Variant, so every
+/// variant is a kernel no earlier request brought.
+ServeRequest inlineFIR(unsigned Variant, unsigned Budget = 4) {
+  unsigned Outer = 8 + Variant;
+  ServeRequest Req;
+  Req.Kernel = "fir" + std::to_string(Variant);
+  Req.Source = "int S[" + std::to_string(Outer + 4) + "];\n"
+               "int C[4];\n"
+               "int D[" + std::to_string(Outer) + "];\n"
+               "for (j = 0; j < " + std::to_string(Outer) + "; j++)\n"
+               "  for (i = 0; i < 4; i++)\n"
+               "    D[j] = D[j] + (S[i + j] * C[i]);\n";
+  Req.Budget = Budget;
+  Req.WantDigest = true;
+  return Req;
+}
+
+ServeResponse receive(UnixConnection &Conn) {
+  Expected<std::optional<std::string>> Line = Conn.recvLine();
+  EXPECT_TRUE(Line && Line.value()) << "connection closed";
+  Expected<ServeResponse> R = parseServeResponse(*Line.value());
+  EXPECT_TRUE(static_cast<bool>(R)) << R.status().message();
+  return R ? *R : ServeResponse();
 }
 
 class ServeTest : public ::testing::Test {
@@ -113,6 +140,100 @@ TEST_F(ServeTest, RepeatRequestServedWarmAndBitIdentical) {
 
   EXPECT_EQ(Server->requestsReceived(), 2u);
   EXPECT_EQ(Server->warmHits(), 1u);
+  // The repeat reused the kernel's session instead of rebuilding it.
+  EXPECT_EQ(Server->sessionCache().misses(), 1u);
+  EXPECT_EQ(Server->sessionCache().hits(), 1u);
+}
+
+TEST_F(ServeTest, WarmRequestCoalescedWithColdOneReportsWarm) {
+  startServer({});
+  Expected<UnixConnection> Setup = UnixConnection::connectTo(SocketPath);
+  ASSERT_TRUE(static_cast<bool>(Setup));
+  ServeResponse First = roundTrip(*Setup, exploreFIR());
+  ASSERT_EQ(First.RStatus, ServeStatus::Ok) << First.Reason;
+
+  // Coalescing is timing-dependent: occupy the batch worker with a cold
+  // exhaustive exploration so the warm repeat and a never-seen kernel
+  // queue behind it and drain as one batch. Retry in the rare case the
+  // worker picks them up separately.
+  for (unsigned Attempt = 0; Attempt != 5; ++Attempt) {
+    ServeRequest Blocker = inlineFIR(100 + Attempt, 1000);
+    Blocker.Strategy = "exhaustive";
+    ServeRequest ColdReq = inlineFIR(Attempt);
+    // Admit both kernels once with a lapsed deadline: their sessions are
+    // built and stored, nothing is evaluated, and the requests below are
+    // admitted without parsing.
+    for (ServeRequest Prime : {Blocker, ColdReq}) {
+      Prime.DeadlineSeconds = 1e-9;
+      ASSERT_EQ(roundTrip(*Setup, Prime).RStatus, ServeStatus::Deadline);
+    }
+
+    Expected<UnixConnection> Busy = UnixConnection::connectTo(SocketPath);
+    Expected<UnixConnection> WarmConn = UnixConnection::connectTo(SocketPath);
+    Expected<UnixConnection> ColdConn = UnixConnection::connectTo(SocketPath);
+    ASSERT_TRUE(Busy && WarmConn && ColdConn);
+    ASSERT_TRUE(Busy->sendLine(Blocker.toJson()).isOk());
+    ASSERT_TRUE(WarmConn->sendLine(exploreFIR().toJson()).isOk());
+    ASSERT_TRUE(ColdConn->sendLine(ColdReq.toJson()).isOk());
+    ServeResponse Warm = receive(*WarmConn);
+    ServeResponse Cold = receive(*ColdConn);
+    receive(*Busy);
+    ASSERT_EQ(Warm.RStatus, ServeStatus::Ok) << Warm.Reason;
+    ASSERT_TRUE(Cold.RStatus == ServeStatus::Ok ||
+                Cold.RStatus == ServeStatus::Degraded)
+        << Cold.Reason;
+    if (Warm.BatchSeq != Cold.BatchSeq)
+      continue;
+    EXPECT_GE(Warm.BatchSize, 2u);
+    // Warmth is the request's own, not its batch's.
+    EXPECT_TRUE(Warm.Warm);
+    EXPECT_EQ(Warm.CacheMisses, 0u);
+    EXPECT_GT(Warm.CacheHits, 0u);
+    EXPECT_EQ(Warm.Digest, First.Digest);
+    EXPECT_FALSE(Cold.Warm);
+    EXPECT_GT(Cold.CacheMisses, 0u);
+    return;
+  }
+  FAIL() << "the warm and cold requests never shared a batch";
+}
+
+TEST_F(ServeTest, SessionStoreStaysBoundedAndEvictionKeepsAnswers) {
+  startServer({});
+  const KernelSessionCache &Sessions = Server->sessionCache();
+  const size_t Cap = DseServer::MaxSessions, Extra = 3;
+  ASSERT_EQ(Sessions.maxEntries(), Cap);
+  ASSERT_EQ(Sessions.maxBytes(), DseServer::MaxSessionBytes);
+
+  Expected<UnixConnection> Conn = UnixConnection::connectTo(SocketPath);
+  ASSERT_TRUE(static_cast<bool>(Conn));
+  ServeResponse First;
+  for (unsigned I = 0; I != Cap + Extra; ++I) {
+    ServeResponse R = roundTrip(*Conn, inlineFIR(I));
+    ASSERT_TRUE(R.RStatus == ServeStatus::Ok ||
+                R.RStatus == ServeStatus::Degraded)
+        << R.Reason;
+    if (I == 0)
+      First = R;
+    EXPECT_LE(Sessions.size(), Cap);
+    EXPECT_LE(Sessions.bytes(), Sessions.maxBytes());
+  }
+  EXPECT_EQ(Sessions.size(), Cap);
+  EXPECT_EQ(Sessions.misses(), Cap + Extra);
+  EXPECT_EQ(Sessions.evictions(), Extra);
+
+  // Variant 0 was least recently used, so it was evicted first.
+  // Re-serving it rebuilds the session and answers identically (from
+  // the estimate cache, which outlives sessions).
+  ServeResponse Again = roundTrip(*Conn, inlineFIR(0));
+  EXPECT_EQ(Sessions.misses(), Cap + Extra + 1);
+  EXPECT_EQ(Sessions.evictions(), Extra + 1);
+  EXPECT_EQ(Again.Selected, First.Selected);
+  EXPECT_EQ(Again.Cycles, First.Cycles);
+  EXPECT_EQ(Again.Slices, First.Slices);
+  EXPECT_EQ(Again.Evaluations, First.Evaluations);
+  EXPECT_FALSE(First.Digest.empty());
+  EXPECT_EQ(Again.Digest, First.Digest);
+  EXPECT_TRUE(Again.Warm);
 }
 
 TEST_F(ServeTest, ServedDigestMatchesStandaloneRun) {
@@ -155,6 +276,54 @@ TEST_F(ServeTest, ServedDigestMatchesStandaloneRun) {
   ASSERT_FALSE(Lines.empty());
   EXPECT_EQ(Served.Digest.size(), 16u);
   EXPECT_EQ(Served.Digest, digestHash(Lines));
+}
+
+TEST_F(ServeTest, HotKeysMatchCommittedGoldenAnswers) {
+  // perfbench/golden.json was recorded from the daemon before kernel
+  // sessions existed: every hot key's winner, bit-exact slices,
+  // evaluations and decision digest. An oracle the serving code cannot
+  // drift together with.
+  std::ifstream In(DEFACTO_PERFBENCH_GOLDEN);
+  ASSERT_TRUE(In.good()) << DEFACTO_PERFBENCH_GOLDEN;
+  std::stringstream Text;
+  Text << In.rdbuf();
+  Expected<JsonValue> Golden = parseJson(Text.str());
+  ASSERT_TRUE(static_cast<bool>(Golden)) << Golden.status().message();
+  const JsonValue *Hot = Golden->find("serve");
+  ASSERT_TRUE(Hot && Hot->isObject());
+  ASSERT_EQ(Hot->Members.size(), 32u);
+
+  startServer({});
+  Expected<UnixConnection> Conn = UnixConnection::connectTo(SocketPath);
+  ASSERT_TRUE(static_cast<bool>(Conn));
+  // Twice: cold, then warm over stored sessions and cached estimates.
+  for (int Pass = 0; Pass != 2; ++Pass) {
+    for (const auto &[Key, Want] : Hot->Members) {
+      SCOPED_TRACE(Key + (Pass ? " (warm)" : " (cold)"));
+      size_t A = Key.find('|'), B = Key.rfind('|');
+      ServeRequest Req;
+      Req.Kernel = Key.substr(0, A);
+      Req.Platform = Key.substr(A + 1, B - A - 1);
+      Req.Strategy = Key.substr(B + 1);
+      Req.Budget = 40;
+      Req.WantDigest = true;
+      ASSERT_TRUE(Conn->sendLine(Req.toJson()).isOk());
+      Expected<std::optional<std::string>> Line = Conn->recvLine();
+      ASSERT_TRUE(Line && Line.value());
+      Expected<JsonValue> Reply = parseJson(*Line.value());
+      ASSERT_TRUE(static_cast<bool>(Reply)) << *Line.value();
+      const JsonValue *Cycles = Reply->find("cycles");
+      const JsonValue *Evals = Reply->find("evals");
+      ASSERT_TRUE(Cycles && Evals) << *Line.value();
+      std::string Answer = Reply->str("selected") + ";" + Cycles->Text +
+                           ";" + Reply->str("slices") + ";" + Evals->Text;
+      EXPECT_EQ(Answer, Want.str("answer"));
+      EXPECT_EQ(Reply->str("decision_digest"), Want.str("digest"));
+      EXPECT_EQ(Reply->boolean("warm"), Pass == 1);
+    }
+  }
+  // One session per kernel, shared by both platforms and strategies.
+  EXPECT_EQ(Server->sessionCache().size(), 8u);
 }
 
 TEST_F(ServeTest, BatchStateIsReportedPerReply) {
@@ -287,6 +456,7 @@ TEST_F(ServeTest, PingReportsWarmState) {
   ServeResponse After = oneShot(SocketPath, Ping);
   EXPECT_GT(After.CacheDesigns, 0u);
   EXPECT_GT(After.StageCacheEntries, 0u);
+  EXPECT_EQ(After.SessionEntries, 1u);
   EXPECT_EQ(After.Requests, 1u);
 }
 
@@ -298,8 +468,8 @@ TEST_F(ServeTest, GaugesRegisterOnSampler) {
   MetricsSample S = Sampler.sampleOnce();
   // Gauge values land in the serialized sample the monitor reads.
   for (const char *Name : {"serve_queue_depth", "serve_in_flight",
-                           "cache_designs", "stage_entries",
-                           "in_flight_evals"})
+                           "cache_designs", "cache_sessions",
+                           "stage_entries", "in_flight_evals"})
     EXPECT_NE(S.JsonLine.find(std::string("\"") + Name + "\""),
               std::string::npos)
         << Name << " missing from " << S.JsonLine;

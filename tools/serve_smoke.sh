@@ -91,6 +91,10 @@ if ! "$OMCHECK" "$PROM" >"$WORK/omcheck.out" 2>&1; then
 fi
 grep -q 'serve_queue_depth' "$PROM" ||
   { echo "FAIL: exposition lacks the serve gauges" >&2; exit 1; }
+# The burst explored five kernels, so the session store holds some.
+grep -q '^defacto_cache_sessions [1-9]' "$PROM" &&
+  grep -q '^defacto_cache_session_hits_total ' "$PROM" ||
+  { echo "FAIL: exposition lacks the kernel-session metrics" >&2; exit 1; }
 
 "$CLIENT" --socket="$SOCK" --shutdown --expect=bye >/dev/null ||
   { echo "FAIL: shutdown request failed" >&2; exit 1; }
