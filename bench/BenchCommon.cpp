@@ -23,22 +23,6 @@ bool defacto::bench::parseCsvFlag(int Argc, char **Argv) {
   return Args.consumeFlag("--csv");
 }
 
-FastPathMode defacto::bench::parseFastPathFlag(int Argc, char **Argv) {
-  cl::ArgList Args(Argc, Argv);
-  std::string Name = Args.consumeValue("--fast-path").value_or("off");
-  if (Name == "off")
-    return FastPathMode::Off;
-  if (Name == "on")
-    return FastPathMode::On;
-  if (Name == "verify")
-    return FastPathMode::Verify;
-  std::fprintf(stderr,
-               "warning: unknown --fast-path=%s (expected off|on|verify), "
-               "using off\n",
-               Name.c_str());
-  return FastPathMode::Off;
-}
-
 std::string defacto::bench::parsePipelineFlag(int Argc, char **Argv) {
   cl::ArgList Args(Argc, Argv);
   std::string Text = Args.consumeValue("--pipeline").value_or("");
@@ -70,8 +54,7 @@ bool defacto::bench::finishObservability(const ObservabilityFlags &Flags) {
 int defacto::bench::runFigureSweep(const std::string &FigureName,
                                    const std::string &KernelName,
                                    const TargetPlatform &Platform,
-                                   bool Csv, FastPathMode FastPath,
-                                   const std::string &Pipeline) {
+                                   bool Csv, const std::string &Pipeline) {
   if (!Pipeline.empty()) {
     if (Expected<std::vector<std::string>> Parsed =
             parsePipelineText(Pipeline);
@@ -84,7 +67,6 @@ int defacto::bench::runFigureSweep(const std::string &FigureName,
   Kernel K = buildKernel(KernelName);
   ExplorerOptions Opts;
   Opts.Platform = Platform;
-  Opts.FastPath = FastPath;
   Opts.BaseTransforms.Pipeline = Pipeline;
   DesignSpaceExplorer Ex(K, Opts);
   ExplorationResult Dse = Ex.run();

@@ -38,18 +38,11 @@ namespace bench {
 int runFigureSweep(const std::string &FigureName,
                    const std::string &KernelName,
                    const TargetPlatform &Platform, bool Csv = false,
-                   FastPathMode FastPath = FastPathMode::Off,
                    const std::string &Pipeline = "");
 
 /// Parses the common figure-bench command line: `--csv` selects CSV
 /// output.
 bool parseCsvFlag(int Argc, char **Argv);
-
-/// Parses `--fast-path=off|on|verify` (see docs/PERFORMANCE.md);
-/// defaults to off, and an unrecognized mode falls back to off with a
-/// warning on stderr. The figure panels are bit-identical in every mode
-/// — the flag exists to time the sweep and to fuzz parity (`verify`).
-FastPathMode parseFastPathFlag(int Argc, char **Argv);
 
 /// Parses `--pipeline=p1,p2,...` (a comma-separated PassRegistry pass
 /// list overriding the default transformation pipeline). Defaults to ""

@@ -7,9 +7,8 @@
 /// Regenerates Figure 5 of the paper: balance, execution cycles, and design
 /// area for FIR with pipelined memory accesses, as a function of the
 /// inner and outer unroll factors. Pass --csv for machine-readable
-/// output, --pipeline=p1,p2,... to override the transformation pass
-/// pipeline, and --fast-path=on|verify to exercise the fast evaluation
-/// engine (docs/PERFORMANCE.md); the panels are bit-identical either way.
+/// output and --pipeline=p1,p2,... to override the transformation pass
+/// pipeline.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +19,5 @@ int main(int argc, char **argv) {
       "Figure 5", "FIR",
       defacto::TargetPlatform::wildstarPipelined(),
       defacto::bench::parseCsvFlag(argc, argv),
-      defacto::bench::parseFastPathFlag(argc, argv),
       defacto::bench::parsePipelineFlag(argc, argv));
 }

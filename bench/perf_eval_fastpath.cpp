@@ -4,37 +4,38 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Measures the evaluation fast path (--fast-path=on: arena-allocated IR
-/// clones, transform-stage memoization, memoized estimation — see
-/// docs/PERFORMANCE.md) against the historical per-candidate path on the
-/// paper's Figure 6 matrix-multiply kernel, exhaustive strategy, default
-/// unroll caps. Three configurations per thread count:
+/// Measures the evaluation route (arena-allocated IR clones,
+/// transform-stage memoization, memoized estimation — see
+/// docs/PERFORMANCE.md) on the paper's Figure 6 matrix-multiply kernel,
+/// exhaustive strategy, default unroll caps. Two configurations per
+/// thread count:
 ///
-///   off        every candidate runs the full transform pipeline and the
-///              reference estimator (the bit-for-bit historical path);
-///   on-cold    fast path with an empty TransformStageCache, so the
-///              sweep pays every stage and candidate build once;
-///   on         fast path against a warm shared TransformStageCache, the
-///              steady state of batch runs that revisit a kernel
-///              (multiple platforms, --repeat, portfolio strategies) —
-///              candidates are served from the cache's finished-kernel
-///              level and evaluation cost is the estimator itself.
+///   on-cold    an empty TransformStageCache, so the sweep pays every
+///              stage and candidate build once;
+///   on         a warm shared TransformStageCache, the steady state of
+///              batch runs that revisit a kernel (multiple platforms,
+///              --repeat, portfolio strategies) — candidates are served
+///              from the cache's finished-kernel level and evaluation
+///              cost is the estimator itself.
+///
+/// (The mode names predate the removal of the second, unstaged route;
+/// they are kept so bench_diff compares reports across versions.)
 ///
 /// Every sweep uses a fresh EstimateCache, so each of the 90 candidates
 /// is genuinely evaluated every time: the numbers are evaluations per
 /// second of the engine, never cache replay of estimates.
 ///
-/// The run is also a parity gate: winners, estimates, and the decision
-/// digest must be identical off vs on (1 and 8 threads), and a
-/// FastPathMode::Verify sweep must report zero parity violations. The
-/// process exits nonzero only when parity fails — never on a slow
+/// The run is also a parity gate: the decision digest must be identical
+/// at 1 and 8 threads and after a warm-cache sweep, and the winner must
+/// equal the committed golden answer (tests/golden/paper_answers.golden).
+/// The process exits nonzero only when parity fails — never on a slow
 /// machine — so CI can run it as a smoke test (--quick caps the
 /// repetitions).
 ///
 /// Writes BENCH_eval.json (override with --json=PATH): per-sweep
-/// evaluations/sec, the off-vs-on speedups, the parity verdicts, and the
-/// per-phase timer split (pipeline.clone/unroll/scalarrepl/...,
-/// estimator.dfg, scheduler.schedule) for the off and on paths.
+/// evaluations/sec, the parity verdicts, the cold-sweep latency
+/// percentiles and the per-phase timer split (pipeline.clone/unroll/
+/// scalarrepl/..., estimator.dfg, scheduler.schedule).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,7 +50,6 @@
 #include "defacto/Support/Trace.h"
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -75,9 +75,8 @@ struct SweepOutcome {
   std::vector<std::string> Digest;
 };
 
-/// One exhaustive sweep with a fresh estimate cache. \p Stages empty:
-/// the mode's default (fresh cache when the fast path is enabled).
-SweepOutcome runSweep(const Kernel &K, FastPathMode Mode, unsigned Threads,
+/// One exhaustive sweep with a fresh estimate cache over \p Stages.
+SweepOutcome runSweep(const Kernel &K, unsigned Threads,
                       std::shared_ptr<ThreadPool> Pool,
                       std::shared_ptr<TransformStageCache> Stages,
                       bool WantDigest = false) {
@@ -86,7 +85,6 @@ SweepOutcome runSweep(const Kernel &K, FastPathMode Mode, unsigned Threads,
   if (Threads > 1)
     Opts.Pool = Pool;
   Opts.Cache = std::make_shared<EstimateCache>();
-  Opts.FastPath = Mode;
   Opts.StageCache = std::move(Stages);
 
   TraceRecorder &R = TraceRecorder::global();
@@ -109,9 +107,28 @@ SweepOutcome runSweep(const Kernel &K, FastPathMode Mode, unsigned Threads,
   return Out;
 }
 
-bool sameEstimate(const SynthesisEstimate &A, const SynthesisEstimate &B) {
-  return A.Cycles == B.Cycles && A.Slices == B.Slices &&
-         A.Registers == B.Registers && A.Balance == B.Balance;
+/// The winner part of a paper_answers.golden header line: design
+/// point, cycles, hexfloat slices and balance, evaluations spent.
+std::string winnerFields(const SweepOutcome &O) {
+  char Buf[256];
+  std::snprintf(Buf, sizeof(Buf),
+                " winner=[%s] cycles=%llu slices=%a balance=%a evals=%u ",
+                unrollVectorToString(O.Selected).c_str(),
+                static_cast<unsigned long long>(O.Estimate.Cycles),
+                O.Estimate.Slices, O.Estimate.Balance, O.Evaluations);
+  return Buf;
+}
+
+/// The golden header line of the MM exhaustive sweep on the default
+/// platform; empty when the file or the line is missing.
+std::string goldenMMLine() {
+  std::ifstream In(DEFACTO_GOLDEN_ANSWERS);
+  const std::string Key =
+      "MM " + TargetPlatform::wildstarPipelined().Name + " exhaustive winner=";
+  for (std::string Line; std::getline(In, Line);)
+    if (Line.compare(0, Key.size(), Key) == 0)
+      return Line;
+  return "";
 }
 
 struct SweepRow {
@@ -171,20 +188,10 @@ int main(int argc, char **argv) {
   std::vector<SweepRow> Rows;
   for (unsigned T : ThreadCounts) {
     {
-      SweepRow Row{"off", T, Reps};
-      for (unsigned I = 0; I != Reps; ++I) {
-        SweepOutcome O = runSweep(K, FastPathMode::Off, T, Pool, nullptr);
-        if (I == 0 || O.Seconds < Row.BestSeconds)
-          Row.BestSeconds = O.Seconds;
-        Row.Evaluations = O.Evaluations;
-      }
-      Rows.push_back(Row);
-    }
-    {
       // Cold: a fresh stage cache per repetition.
       SweepRow Row{"on-cold", T, Reps};
       for (unsigned I = 0; I != Reps; ++I) {
-        SweepOutcome O = runSweep(K, FastPathMode::On, T, Pool,
+        SweepOutcome O = runSweep(K, T, Pool,
                                   std::make_shared<TransformStageCache>());
         if (I == 0 || O.Seconds < Row.BestSeconds)
           Row.BestSeconds = O.Seconds;
@@ -197,9 +204,9 @@ int main(int argc, char **argv) {
       // first sweep (batch-run usage, where jobs revisit a kernel).
       SweepRow Row{"on", T, Reps};
       auto Stages = std::make_shared<TransformStageCache>();
-      runSweep(K, FastPathMode::On, T, Pool, Stages); // warm-up
+      runSweep(K, T, Pool, Stages); // warm-up
       for (unsigned I = 0; I != Reps; ++I) {
-        SweepOutcome O = runSweep(K, FastPathMode::On, T, Pool, Stages);
+        SweepOutcome O = runSweep(K, T, Pool, Stages);
         if (I == 0 || O.Seconds < Row.BestSeconds)
           Row.BestSeconds = O.Seconds;
         Row.Evaluations = O.Evaluations;
@@ -207,15 +214,6 @@ int main(int argc, char **argv) {
       Rows.push_back(Row);
     }
   }
-
-  auto rowFor = [&Rows](const std::string &Mode,
-                        unsigned T) -> const SweepRow & {
-    for (const SweepRow &R : Rows)
-      if (R.Mode == Mode && R.Threads == T)
-        return R;
-    static SweepRow Empty;
-    return Empty;
-  };
 
   //===------------------------------------------------------------===//
   // Parity gate.
@@ -229,96 +227,55 @@ int main(int argc, char **argv) {
     return Cond;
   };
 
-  bool DigestMatch1 = false, DigestMatch8 = false, WinnerMatch = false,
-       SteadyMatch = false;
+  bool ThreadsMatch = false, SteadyMatch = false, GoldenMatch = false;
   {
-    SweepOutcome Off1 =
-        runSweep(K, FastPathMode::Off, 1, Pool, nullptr, /*WantDigest=*/true);
-    SweepOutcome On1 =
-        runSweep(K, FastPathMode::On, 1, Pool,
-                 std::make_shared<TransformStageCache>(), /*WantDigest=*/true);
-    DigestMatch1 = Off1.Digest == On1.Digest;
-    WinnerMatch = Off1.Selected == On1.Selected &&
-                  sameEstimate(Off1.Estimate, On1.Estimate);
-    check(DigestMatch1, "decision digest differs off vs on (1 thread)");
-    check(WinnerMatch, "selected design differs off vs on (1 thread)");
+    SweepOutcome Cold1 =
+        runSweep(K, 1, Pool, std::make_shared<TransformStageCache>(),
+                 /*WantDigest=*/true);
+    SweepOutcome Cold8 =
+        runSweep(K, 8, Pool, std::make_shared<TransformStageCache>(),
+                 /*WantDigest=*/true);
+    ThreadsMatch = !Cold1.Digest.empty() && Cold1.Digest == Cold8.Digest;
+    check(ThreadsMatch, "decision digest differs at 1 vs 8 threads");
 
     // Steady state must stay bit-identical too: candidates served from
-    // the finished-kernel cache level must reproduce the off digest.
+    // the finished-kernel cache level must reproduce the cold digest.
     auto Stages = std::make_shared<TransformStageCache>();
-    runSweep(K, FastPathMode::On, 1, Pool, Stages);
-    SweepOutcome Warm =
-        runSweep(K, FastPathMode::On, 1, Pool, Stages, /*WantDigest=*/true);
-    SteadyMatch = Off1.Digest == Warm.Digest &&
-                  Off1.Selected == Warm.Selected &&
-                  sameEstimate(Off1.Estimate, Warm.Estimate);
-    check(SteadyMatch, "warm-cache sweep diverged from the off path");
+    runSweep(K, 1, Pool, Stages);
+    SweepOutcome Warm = runSweep(K, 1, Pool, Stages, /*WantDigest=*/true);
+    SteadyMatch = Cold1.Digest == Warm.Digest;
+    check(SteadyMatch, "warm-cache sweep diverged from the cold sweep");
 
-    SweepOutcome Off8 =
-        runSweep(K, FastPathMode::Off, 8, Pool, nullptr, /*WantDigest=*/true);
-    SweepOutcome On8 =
-        runSweep(K, FastPathMode::On, 8, Pool,
-                 std::make_shared<TransformStageCache>(), /*WantDigest=*/true);
-    DigestMatch8 = Off8.Digest == On8.Digest && Off1.Digest == Off8.Digest;
-    check(DigestMatch8, "decision digest differs off vs on (8 threads)");
-  }
-
-  // Verify mode re-runs every candidate on both paths and counts
-  // estimate mismatches in fastpath.parity_violations.
-  uint64_t VerifyViolations = 0;
-  {
-    StatRegistry::instance().setEnabled(true);
-    auto countViolations = [] {
-      uint64_t N = 0;
-      for (const StatSnapshot &S : StatRegistry::instance().snapshot())
-        if (S.Group == "fastpath" && S.Name == "parity_violations")
-          N = S.Value;
-      return N;
-    };
-    uint64_t Before = countViolations();
-    runSweep(K, FastPathMode::Verify, 1, Pool, nullptr);
-    runSweep(K, FastPathMode::Verify, 8, Pool, nullptr);
-    VerifyViolations = countViolations() - Before;
-    StatRegistry::instance().setEnabled(false);
-    check(VerifyViolations == 0,
-          "FastPathMode::Verify found estimate mismatches");
+    std::string Golden = goldenMMLine();
+    GoldenMatch = !Golden.empty() &&
+                  Golden.find(winnerFields(Cold1)) != std::string::npos;
+    check(GoldenMatch, "winner differs from the golden answer");
   }
 
   //===------------------------------------------------------------===//
-  // Instrumented phase-split passes (off, then cold on), outside the
-  // timed measurements. The same passes feed the per-evaluation latency
+  // Instrumented phase-split pass (cold), outside the timed
+  // measurements. The same pass feeds the per-evaluation latency
   // percentiles from the eval.latency_us histogram.
   //===------------------------------------------------------------===//
   struct LatencyPercentiles {
     uint64_t Count = 0, P50 = 0, P95 = 0, P99 = 0, Max = 0;
   };
-  auto evalLatency = [] {
-    LatencyPercentiles P;
-    for (const HistogramSnapshot &S : HistogramRegistry::global().snapshot())
-      if (S.Name == "eval.latency_us") {
-        P.Count = S.Count;
-        P.P50 = S.quantile(0.50);
-        P.P95 = S.quantile(0.95);
-        P.P99 = S.quantile(0.99);
-        P.Max = S.Max;
-      }
-    return P;
-  };
-  std::string PhasesOff, PhasesOn;
-  LatencyPercentiles LatOff, LatOn;
+  std::string Phases;
+  LatencyPercentiles Lat;
   {
     StatRegistry::instance().setEnabled(true);
     TimerGroup::global().reset();
     HistogramRegistry::global().reset();
-    runSweep(K, FastPathMode::Off, 1, Pool, nullptr);
-    PhasesOff = TimerGroup::global().toJson();
-    LatOff = evalLatency();
-    TimerGroup::global().reset();
-    HistogramRegistry::global().reset();
-    runSweep(K, FastPathMode::On, 1, Pool,
-             std::make_shared<TransformStageCache>());
-    PhasesOn = TimerGroup::global().toJson();
-    LatOn = evalLatency();
+    runSweep(K, 1, Pool, std::make_shared<TransformStageCache>());
+    Phases = TimerGroup::global().toJson();
+    for (const HistogramSnapshot &S : HistogramRegistry::global().snapshot())
+      if (S.Name == "eval.latency_us") {
+        Lat.Count = S.Count;
+        Lat.P50 = S.quantile(0.50);
+        Lat.P95 = S.quantile(0.95);
+        Lat.P99 = S.quantile(0.99);
+        Lat.Max = S.Max;
+      }
     TimerGroup::global().reset();
     HistogramRegistry::global().reset();
     StatRegistry::instance().setEnabled(false);
@@ -327,33 +284,19 @@ int main(int argc, char **argv) {
   //===------------------------------------------------------------===//
   // Report.
   //===------------------------------------------------------------===//
-  double OffEps = rowFor("off", 1).evalsPerSec();
-  double ColdEps = rowFor("on-cold", 1).evalsPerSec();
-  double SteadyEps = rowFor("on", 1).evalsPerSec();
-  double SpeedupCold = OffEps > 0 ? ColdEps / OffEps : 0;
-  double SpeedupSteady = OffEps > 0 ? SteadyEps / OffEps : 0;
-
   std::printf("%-8s %8s %6s %14s %14s\n", "mode", "threads", "reps",
               "best_wall_ms", "evals/sec");
   for (const SweepRow &R : Rows)
     std::printf("%-8s %8u %6u %14.2f %14.1f\n", R.Mode.c_str(), R.Threads,
                 R.Repetitions, R.BestSeconds * 1e3, R.evalsPerSec());
-  std::printf("single-thread speedup vs off: %.2fx cold, %.2fx steady\n",
-              SpeedupCold, SpeedupSteady);
-  std::printf("parity: %s (verify violations: %llu)\n",
-              ParityOk ? "OK" : "VIOLATED",
-              static_cast<unsigned long long>(VerifyViolations));
-  auto printLatency = [](const char *Mode, const LatencyPercentiles &L) {
-    std::printf("eval latency %-4s p50 %llu us, p95 %llu us, p99 %llu us, "
-                "max %llu us (%llu evaluations)\n",
-                Mode, static_cast<unsigned long long>(L.P50),
-                static_cast<unsigned long long>(L.P95),
-                static_cast<unsigned long long>(L.P99),
-                static_cast<unsigned long long>(L.Max),
-                static_cast<unsigned long long>(L.Count));
-  };
-  printLatency("off:", LatOff);
-  printLatency("on:", LatOn);
+  std::printf("parity: %s\n", ParityOk ? "OK" : "VIOLATED");
+  std::printf("eval latency (cold) p50 %llu us, p95 %llu us, p99 %llu us, "
+              "max %llu us (%llu evaluations)\n",
+              static_cast<unsigned long long>(Lat.P50),
+              static_cast<unsigned long long>(Lat.P95),
+              static_cast<unsigned long long>(Lat.P99),
+              static_cast<unsigned long long>(Lat.Max),
+              static_cast<unsigned long long>(Lat.Count));
 
   std::ostringstream OS;
   OS << "{\n";
@@ -372,29 +315,17 @@ int main(int argc, char **argv) {
        << (I + 1 == Rows.size() ? "\n" : ",\n");
   }
   OS << "  ],\n";
-  OS << "  \"fastpath\": {\"threads\": 1, \"off_evals_per_sec\": " << OffEps
-     << ", \"on_cold_evals_per_sec\": " << ColdEps
-     << ", \"on_steady_evals_per_sec\": " << SteadyEps
-     << ", \"speedup_cold\": " << SpeedupCold
-     << ", \"speedup_steady\": " << SpeedupSteady << "},\n";
-  OS << "  \"parity\": {\"digest_match_1thread\": "
-     << (DigestMatch1 ? "true" : "false")
-     << ", \"digest_match_8threads\": " << (DigestMatch8 ? "true" : "false")
-     << ", \"winner_match\": " << (WinnerMatch ? "true" : "false")
+  OS << "  \"parity\": {\"digest_match_1_vs_8threads\": "
+     << (ThreadsMatch ? "true" : "false")
      << ", \"steady_state_match\": " << (SteadyMatch ? "true" : "false")
-     << ", \"verify_violations\": " << VerifyViolations << "},\n";
-  auto latencyJson = [](const LatencyPercentiles &L) {
-    std::ostringstream LS;
-    LS << "{\"count\": " << L.Count << ", \"p50_us\": " << L.P50
-       << ", \"p95_us\": " << L.P95 << ", \"p99_us\": " << L.P99
-       << ", \"max_us\": " << L.Max << "}";
-    return LS.str();
-  };
+     << ", \"golden_winner_match\": " << (GoldenMatch ? "true" : "false")
+     << "},\n";
   OS << "  \"latency_percentiles\": {\"histogram\": \"eval.latency_us\", "
-     << "\"threads\": 1, \"off\": " << latencyJson(LatOff)
-     << ", \"on\": " << latencyJson(LatOn) << "},\n";
-  OS << "  \"phase_timings_ms\": {\"off\": " << PhasesOff
-     << ", \"on\": " << PhasesOn << "}\n";
+     << "\"threads\": 1, \"on\": {\"count\": " << Lat.Count
+     << ", \"p50_us\": " << Lat.P50 << ", \"p95_us\": " << Lat.P95
+     << ", \"p99_us\": " << Lat.P99 << ", \"max_us\": " << Lat.Max
+     << "}},\n";
+  OS << "  \"phase_timings_ms\": {\"on\": " << Phases << "}\n";
   OS << "}\n";
   if (!JsonPath.empty()) {
     std::ofstream Out(JsonPath);

@@ -14,8 +14,8 @@
 ///                 [--stats] [--stats-out=PATH] [--explain]
 ///                 [--journal=PATH] [--resume] [--watchdog=SECONDS]
 ///                 [--breaker-threshold=N] [--breaker-cooldown=SECONDS]
-///                 [--fast-path=off|on|verify] [--metrics-out=PATH]
-///                 [--metrics-interval-ms=N] [--metrics-prom=PATH]
+///                 [--metrics-out=PATH] [--metrics-interval-ms=N]
+///                 [--metrics-prom=PATH]
 ///
 /// --strategy selects any StrategyRegistry search ("guided",
 /// "exhaustive", "random", "hillclimb", "portfolio", "guided+tile", or
@@ -26,8 +26,7 @@
 /// --pipeline overrides the transformation pass pipeline for every job
 /// with a comma-separated PassRegistry list (e.g.
 /// "normalize,unroll,fold"); an unknown pass name lists the registry and
-/// exits. Custom pipelines bypass the transform-stage cache, so combine
-/// with --fast-path only to measure that cost.
+/// exits. Custom pipelines bypass the transform-stage cache.
 ///
 /// Prints one row per job (strategy, selected design, speedup,
 /// evaluations) plus the shared cache's hit statistics. --repeat queues
@@ -54,12 +53,8 @@
 /// --stats-out writes the final counters + timers + histograms as one
 /// JSON document.
 ///
-/// --fast-path=on evaluates through the fast-path engine (arena-allocated
-/// IR clones, one shared transform-stage cache across all jobs, the
-/// replication-aware estimator) — identical selections, decision digests,
-/// and table output, fewer milliseconds. --fast-path=verify runs both
-/// engines per evaluation and cross-checks every estimate field bit for
-/// bit (violations land in the fastpath.parity_violations counter).
+/// All jobs share one transform-stage cache (docs/PERFORMANCE.md, "The
+/// evaluation route"); its hit statistics print under the table.
 ///
 /// Exit codes: 0 all jobs healthy; 3 batch completed but at least one
 /// job degraded (fault/deadline/budget/breaker); 1 runtime failure
@@ -118,19 +113,6 @@ int main(int Argc, char **Argv) {
   double BreakerCooldown = 30.0;
   if (std::optional<std::string> C = Args.consumeValue("--breaker-cooldown"))
     BreakerCooldown = std::strtod(C->c_str(), nullptr);
-  std::string FastPathName = Args.consumeValue("--fast-path").value_or("off");
-  FastPathMode FastPath;
-  if (FastPathName == "off")
-    FastPath = FastPathMode::Off;
-  else if (FastPathName == "on")
-    FastPath = FastPathMode::On;
-  else if (FastPathName == "verify")
-    FastPath = FastPathMode::Verify;
-  else {
-    std::fprintf(stderr, "--fast-path must be off, on, or verify (got '%s')\n",
-                 FastPathName.c_str());
-    return 2;
-  }
 
   if (!Args.empty()) {
     std::fprintf(stderr,
@@ -141,9 +123,8 @@ int main(int Argc, char **Argv) {
                  "[--trace-out=PATH] [--stats] [--stats-out=PATH] "
                  "[--explain] [--journal=PATH] [--resume] "
                  "[--watchdog=SECONDS] [--breaker-threshold=N] "
-                 "[--breaker-cooldown=SECONDS] [--fast-path=off|on|verify] "
-                 "[--metrics-out=PATH] [--metrics-interval-ms=N] "
-                 "[--metrics-prom=PATH]\n",
+                 "[--breaker-cooldown=SECONDS] [--metrics-out=PATH] "
+                 "[--metrics-interval-ms=N] [--metrics-prom=PATH]\n",
                  Args.rest().front().c_str());
     return 2;
   }
@@ -226,9 +207,7 @@ int main(int Argc, char **Argv) {
   // One stage cache across every job: kernels repeated across platforms
   // and --repeat rounds share their memoized pipeline prefixes the same
   // way they share the estimate cache.
-  std::shared_ptr<TransformStageCache> StageCache;
-  if (FastPath != FastPathMode::Off)
-    StageCache = std::make_shared<TransformStageCache>();
+  auto StageCache = std::make_shared<TransformStageCache>();
 
   if (Metrics && !Batch.Pool && Batch.NumThreads > 1)
     Batch.Pool = std::make_shared<ThreadPool>(Batch.NumThreads);
@@ -244,7 +223,6 @@ int main(int Argc, char **Argv) {
         ExplorerOptions Opts;
         Opts.Platform = Platform;
         Opts.WatchdogSeconds = WatchdogSeconds;
-        Opts.FastPath = FastPath;
         Opts.StageCache = StageCache;
         Opts.BaseTransforms.Pipeline = Pipeline;
         std::string Label = Name + " @ " + Platform.Name;
@@ -352,17 +330,15 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(CacheStats.Waits),
               Engine.estimateCache()->size());
 
-  if (StageCache) {
-    TransformStageCache::Stats StageStats = StageCache->stats();
-    std::printf("stage cache:  %llu lookups, %llu hits (%.1f%% hit rate), "
-                "%llu waits, %llu evicted, %zu stage(s) resident\n",
-                static_cast<unsigned long long>(StageStats.Lookups),
-                static_cast<unsigned long long>(StageStats.Hits),
-                100.0 * StageStats.hitRate(),
-                static_cast<unsigned long long>(StageStats.Waits),
-                static_cast<unsigned long long>(StageStats.Evictions),
-                StageCache->size());
-  }
+  TransformStageCache::Stats StageStats = StageCache->stats();
+  std::printf("stage cache:  %llu lookups, %llu hits (%.1f%% hit rate), "
+              "%llu waits, %llu evicted, %zu stage(s) resident\n",
+              static_cast<unsigned long long>(StageStats.Lookups),
+              static_cast<unsigned long long>(StageStats.Hits),
+              100.0 * StageStats.hitRate(),
+              static_cast<unsigned long long>(StageStats.Waits),
+              static_cast<unsigned long long>(StageStats.Evictions),
+              StageCache->size());
 
   if (Explain) {
     ReportOptions Report;

@@ -61,13 +61,6 @@ namespace defacto {
 class CircuitBreakerRegistry;
 struct ExplorationResult;
 
-/// Evaluation fast-path selector (ExplorerOptions::FastPath).
-enum class FastPathMode {
-  Off,    ///< Historical per-candidate evaluation, bit for bit.
-  On,     ///< Staged pipeline, arena clones, memoized scheduling.
-  Verify, ///< Run both paths, assert bit-equality, return the slow result.
-};
-
 /// Exploration configuration, shared by every search strategy and the
 /// evaluation service underneath them.
 struct ExplorerOptions {
@@ -152,24 +145,9 @@ struct ExplorerOptions {
   /// exactly as before.
   std::shared_ptr<EstimateCache> Cache;
 
-  //===--------------------------------------------------------------===//
-  // Fast path. An evaluation-speed lever, never a results lever: every
-  // mode produces the same estimates, the same winners, and the same
-  // decision digest (fastpath_parity_test and Verify enforce it).
-  //===--------------------------------------------------------------===//
-
-  /// Off: the historical per-candidate pipeline. On: arena-allocated IR
-  /// clones, memoized transform-stage prefixes (StageCache), the scalar-
-  /// replacement site index, skipping the pipeline's verification pass
-  /// when the built-in checked estimator re-verifies anyway, and the
-  /// replication-aware estimator (estimateDesignCheckedFast). Verify:
-  /// run both paths for every attempt, compare every estimate field
-  /// bit-exactly (violations increment fastpath.parity_violations), and
-  /// return the slow result.
-  FastPathMode FastPath = FastPathMode::Off;
-  /// Transform-stage snapshots shared across explorers, runs, and
-  /// threads. Unset with FastPath != Off: the service creates a private
-  /// cache.
+  /// Transform-stage snapshots (memoized pipeline prefixes and finished
+  /// candidates) shared across explorers, runs, and threads. Unset: the
+  /// service creates a private cache.
   std::shared_ptr<TransformStageCache> StageCache;
 
   //===--------------------------------------------------------------===//
@@ -237,9 +215,8 @@ public:
   /// (unroll + optional interchange/tile) under the same degradation
   /// policy and caches. For an unroll-only point this is bit-identical
   /// to evaluateChecked(P.Unroll) — same cache key, same trace events.
-  /// Non-unroll-only points always take the historical (slow) pipeline
-  /// route: the stage-cache factorization is only proven for the
-  /// default shape.
+  /// Non-unroll-only points run the unstaged pipeline: the stage-cache
+  /// factorization is only proven for the default shape.
   Expected<SynthesisEstimate> evaluateChecked(const DesignPoint &P);
 
   /// evaluate() over a design point.
@@ -380,30 +357,26 @@ public:
 private:
   /// One raw estimation attempt: transform pipeline + estimator (+ the
   /// §5.4 register-cap shrink loop). Thread-safe: touches only the
-  /// shared read-only PipelineContext and the options. The single
-  /// instrumentation chokepoint: records eval.latency_us and the
-  /// estimate.* distributions, and tracks the in-flight gauge.
+  /// shared read-only PipelineContext, the stage cache, and the options.
+  /// The single instrumentation chokepoint: records eval.latency_us and
+  /// the estimate.* distributions, and tracks the in-flight gauge.
   Expected<SynthesisEstimate> computeRaw(const DesignPoint &P) const;
-  /// computeRaw minus instrumentation: dispatches on Opts.FastPath;
-  /// Verify runs both routes and compares. Non-unroll-only points and
-  /// custom pipelines always route slow (the stage factorization is only
-  /// proven for the default shape).
-  Expected<SynthesisEstimate> computeDispatch(const DesignPoint &P) const;
-  /// The historical route: applyPipeline + configured backend.
-  Expected<SynthesisEstimate> computeSlow(const DesignPoint &P) const;
-  /// The staged route: FastPathPipeline over this worker's IR arena,
-  /// estimateDesignCheckedFast when the backend is the built-in one.
-  Expected<SynthesisEstimate> computeFast(const DesignPoint &P) const;
+  /// computeRaw minus instrumentation. Every IR node the attempt builds
+  /// lands in this worker's arena. Unroll-only points of the default
+  /// pipeline shape run StagedPipeline; interchange/tile
+  /// points and custom pipelines fall back to applyPipeline (the stage
+  /// factorization is only proven for the default shape).
+  Expected<SynthesisEstimate> computeEstimate(const DesignPoint &P) const;
   /// The per-point transform configuration: BaseTransforms plus the
   /// point's unroll vector (and interchange/tile when set) plus the
   /// platform's memory count.
   TransformOptions transformOptionsFor(const DesignPoint &P) const;
-  /// The estimator seam both routes share: invocation timing, the hang
-  /// watchdog, the dse.cancel trace event. \p FastBackend substitutes
-  /// estimateDesignCheckedFast for the configured estimator.
+  /// The estimator seam: invocation timing, the hang watchdog, the
+  /// dse.cancel trace event. \p Verified (the staged route with the
+  /// built-in backend) estimates without re-verifying \p K.
   Expected<SynthesisEstimate> invokeBackend(const Kernel &K,
                                             const DesignPoint &P,
-                                            bool FastBackend) const;
+                                            bool Verified) const;
   /// Emits one run-variant "dse.stagecache" trace event.
   void traceStageCache(const DesignPoint &P, const StageRunInfo &Info) const;
   std::string cacheKey(const DesignPoint &P) const;
@@ -420,13 +393,12 @@ private:
   ExplorerOptions Opts;
   SaturationInfo Sat; // the session's, with Psat for Opts.Platform
   std::shared_ptr<EstimateCache> Estimates; // never null
-  /// Stage snapshots (never null when FastPath != Off) and the staged
-  /// pipeline over the session's context; unset in Off mode.
-  std::shared_ptr<TransformStageCache> Stages;
-  std::optional<FastPathPipeline> FastPipeline;
+  /// The staged pipeline over the session's context and the stage cache
+  /// from the options (or a private one).
+  StagedPipeline Pipeline;
   /// No estimator was injected, i.e. the backend is the built-in checked
-  /// estimator — the precondition for the fast estimator substitution
-  /// and for skipping the pipeline's redundant verification pass.
+  /// estimator — the precondition for estimating staged candidates
+  /// without re-verifying them.
   bool DefaultEstimator = false;
   std::shared_ptr<ThreadPool> Pool;         // created lazily when parallel
   std::vector<std::future<void>> Speculation;

@@ -23,7 +23,7 @@
 ///
 /// TransformStageCache stores those snapshots behind the same
 /// ticket-style in-flight dedup as EstimateCache: a stage is built
-/// exactly once no matter how many workers race for it. FastPathPipeline
+/// exactly once no matter how many workers race for it. StagedPipeline
 /// is the consumer: applyPipeline(), staged — identical results, with
 /// per-candidate fallbacks to the unstaged path whenever staging cannot
 /// be proven equivalent (no perfect nest, unroll vector not applicable,
@@ -82,7 +82,7 @@ public:
     /// The snapshot passed IR verification when it was built. Staged
     /// candidates inherit this one check instead of re-verifying per
     /// candidate; a malformed stage forces the unstaged route, whose
-    /// full pipeline reports the error exactly as the slow path would.
+    /// full pipeline reports the error exactly as applyPipeline() does.
     bool StageVerified = false;
 
     explicit Entry(Kernel K) : Staged(std::move(K)) {}
@@ -173,7 +173,7 @@ private:
   size_t MaxEntriesPerShard;
 };
 
-/// How one FastPathPipeline::run() resolved, for trace emission
+/// How one StagedPipeline::run() resolved, for trace emission
 /// (dse.stagecache events) by the evaluation service.
 struct StageRunInfo {
   /// The candidate actually took the staged route (false: per-candidate
@@ -191,17 +191,17 @@ struct StageRunInfo {
 /// applyPipeline() over a shared context with stage memoization:
 /// bit-identical TransformResults, one unroll-and-jam per distinct
 /// (strip-mine, prefix) instead of one per candidate.
-class FastPathPipeline {
+class StagedPipeline {
 public:
   /// \p Ctx and \p Cache must outlive the pipeline. One instance is
   /// shared across worker threads (it holds no per-run mutable state).
-  FastPathPipeline(const PipelineContext &Ctx,
-                   std::shared_ptr<TransformStageCache> Cache);
+  StagedPipeline(const PipelineContext &Ctx,
+                 std::shared_ptr<TransformStageCache> Cache);
 
   /// Runs the full pipeline for \p Opts. SkipVerify drops the final
-  /// IR-verification pass — sound only when the consumer re-verifies
-  /// (estimateDesignChecked does). Info, when non-null, reports how the
-  /// stage cache resolved.
+  /// IR-verification pass of staged candidates, whose stage snapshot was
+  /// verified when built (unstaged fallbacks always verify). Info, when
+  /// non-null, reports how the stage cache resolved.
   TransformResult run(const TransformOptions &Opts, bool SkipVerify = false,
                       StageRunInfo *Info = nullptr) const;
 

@@ -89,6 +89,16 @@ struct RegionReport {
 /// applyPipeline; arrays without a physical memory id are assigned ports
 /// round-robin in first-use order. When \p Breakdown is non-null it is
 /// filled with one entry per scheduled region, in program order.
+///
+/// An unrolled body is U structurally identical copies of a base body,
+/// so the straight-line segments a sweep schedules repeat across
+/// candidates: list scheduling is memoized per (segment, platform) in a
+/// per-thread table (exact key compare — a hit returns the bit-identical
+/// SegmentSchedule). Platforms with declared or uniform widths key the
+/// memo on the segment's structure and skip building the DFG on a hit;
+/// WidthModel::Inferred widths are whole-kernel state, so those
+/// platforms key it on the built DFG. tests/golden/paper_answers.golden
+/// pins the resulting estimates bit for bit.
 SynthesisEstimate
 estimateDesign(const Kernel &K, const TargetPlatform &Platform,
                std::vector<RegionReport> *Breakdown = nullptr);
@@ -105,23 +115,6 @@ using EstimatorFn =
 /// then estimates. This is the default backend behind ExplorerOptions.
 Expected<SynthesisEstimate>
 estimateDesignChecked(const Kernel &K, const TargetPlatform &Platform);
-
-/// estimateDesign(), replication-aware: an unrolled body is U structurally
-/// identical copies of a base body, so the straight-line segments a sweep
-/// schedules repeat across candidates. This variant memoizes list
-/// scheduling per (DFG content, platform) in a per-thread table (exact
-/// key compare — a hit returns the bit-identical SegmentSchedule) and
-/// fuses the register/rotation-mux area walks into one traversal. Every
-/// area term is a dyadic rational, so the fused summation is exact and
-/// the result equals estimateDesign() bit for bit; fastpath_parity_test
-/// and FastPath::Verify enforce that.
-SynthesisEstimate estimateDesignFast(const Kernel &K,
-                                     const TargetPlatform &Platform);
-
-/// estimateDesignChecked() over estimateDesignFast(): same verification,
-/// cancellation, and degeneracy reporting, bit-identical results.
-Expected<SynthesisEstimate>
-estimateDesignCheckedFast(const Kernel &K, const TargetPlatform &Platform);
 
 } // namespace defacto
 

@@ -84,9 +84,6 @@ struct ServeOptions {
   unsigned MaxQueueDepth = 64;
   /// Requests coalesced into one BatchExplorer run.
   unsigned MaxBatch = 8;
-  /// Evaluation fast path for served explorations; the stage cache is
-  /// shared across every request when enabled.
-  FastPathMode FastPath = FastPathMode::On;
   /// Per-evaluation hang watchdog (ExplorerOptions::WatchdogSeconds).
   double WatchdogSeconds = 0;
   /// Per-platform circuit breaker; 0 disables.
@@ -191,8 +188,8 @@ private:
 
   // Process-lifetime warm state, shared by every served batch.
   std::shared_ptr<EstimateCache> Cache;
-  std::shared_ptr<TransformStageCache> StageCache; // null when FastPath off
-  std::shared_ptr<ThreadPool> Pool;                // null when NumThreads <= 1
+  std::shared_ptr<TransformStageCache> StageCache;
+  std::shared_ptr<ThreadPool> Pool; // null when NumThreads <= 1
   std::shared_ptr<CircuitBreakerRegistry> Breakers;
   std::shared_ptr<EvaluationJournal> Journal;
   unsigned ResumedEvals = 0;

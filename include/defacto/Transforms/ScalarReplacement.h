@@ -50,11 +50,6 @@ struct ScalarReplacementOptions {
   bool EnableOuterCarriedChains = true;
   /// Enables the inner-carried sliding windows (stencil style).
   bool EnableWindows = true;
-  /// Accelerates the (array, subscripts) -> site lookup with a hash
-  /// index instead of a linear scan. Identical results either way; the
-  /// scan is quadratic in unrolled-body size, so the evaluation fast
-  /// path turns this on (see docs/PERFORMANCE.md).
-  bool UseSiteIndex = false;
 };
 
 /// Static effect summary, per innermost-body execution.

@@ -30,14 +30,17 @@ DEFACTO_STATISTIC(NumWatchdogCancels, "explore", "watchdog-cancels",
                   "estimator invocations cancelled by the hang watchdog");
 DEFACTO_STATISTIC(NumDroppedFailures, "explore", "dropped-failures",
                   "failure-log entries evicted by the ring bound");
-DEFACTO_STATISTIC(NumParityViolations, "fastpath", "parity_violations",
-                  "verify-mode attempts where fast and slow estimates "
-                  "disagreed");
 
 EvaluationService::EvaluationService(
     std::shared_ptr<const KernelSession> Session, ExplorerOptions Opts)
     : Session(std::move(Session)), Opts(std::move(Opts)),
-      Sat(this->Session->saturation(this->Opts.Platform.NumMemories)) {
+      Sat(this->Session->saturation(this->Opts.Platform.NumMemories)),
+      Estimates(this->Opts.Cache ? this->Opts.Cache
+                                 : std::make_shared<EstimateCache>()),
+      Pipeline(this->Session->context(),
+               this->Opts.StageCache
+                   ? this->Opts.StageCache
+                   : std::make_shared<TransformStageCache>()) {
   DefaultEstimator = !this->Opts.Estimator;
   if (!this->Opts.Estimator)
     this->Opts.Estimator = [](const Kernel &K, const TargetPlatform &P) {
@@ -55,13 +58,6 @@ EvaluationService::EvaluationService(
         std::this_thread::sleep_for(
             std::chrono::duration<double>(Seconds));
     };
-  Estimates = this->Opts.Cache ? this->Opts.Cache
-                               : std::make_shared<EstimateCache>();
-  if (this->Opts.FastPath != FastPathMode::Off) {
-    Stages = this->Opts.StageCache ? this->Opts.StageCache
-                                   : std::make_shared<TransformStageCache>();
-    FastPipeline.emplace(this->Session->context(), Stages);
-  }
   Track = this->Opts.TraceLabel.empty() ? source().name()
                                         : this->Opts.TraceLabel;
   UnrollKeyPrefix =
@@ -196,7 +192,7 @@ void EvaluationService::traceSelection(const ExplorationResult &Res) {
 
 Expected<SynthesisEstimate>
 EvaluationService::invokeBackend(const Kernel &K, const DesignPoint &P,
-                                 bool FastBackend) const {
+                                 bool Verified) const {
   // Estimation backends are arbitrary callables (a real synthesis tool
   // behind a wrapper); time every invocation at this seam. The hang
   // watchdog arms a fresh deadline token per invocation: a cooperative
@@ -204,13 +200,13 @@ EvaluationService::invokeBackend(const Kernel &K, const DesignPoint &P,
   // loops; a FaultInjector hang polls between simulated sleeps) observes
   // it thread-locally and returns ErrorCode::Cancelled.
   auto Call = [&]() -> Expected<SynthesisEstimate> {
-    if (!FastBackend)
+    if (!Verified)
       return Opts.Estimator(K, Opts.Platform);
-    // The fast route already verified this kernel's lineage: the stage
-    // snapshot is verified once when built, and the unstaged fallback
-    // runs the full pipeline including its verification pass. Estimate
-    // without re-verifying per candidate.
-    SynthesisEstimate Est = estimateDesignFast(K, Opts.Platform);
+    // The staged route already verified this kernel's lineage: the stage
+    // snapshot is verified once when built, and the stage's per-candidate
+    // unstaged fallback runs the full pipeline including its verification
+    // pass. Estimate without re-verifying per candidate.
+    SynthesisEstimate Est = estimateDesign(K, Opts.Platform);
     if (Status Cancel = currentCancelStatus(); !Cancel.isOk())
       return Cancel;
     if (Est.Cycles == 0 || Est.Slices <= 0.0)
@@ -247,41 +243,19 @@ EvaluationService::invokeBackend(const Kernel &K, const DesignPoint &P,
 }
 
 Expected<SynthesisEstimate>
-EvaluationService::computeSlow(const DesignPoint &P) const {
+EvaluationService::computeEstimate(const DesignPoint &P) const {
   TransformOptions TO = transformOptionsFor(P);
-
-  TransformResult R = applyPipeline(Session->context(), TO);
-  if (!R.ok())
-    return R.Error;
-  Expected<SynthesisEstimate> Est = invokeBackend(R.K, P, false);
-  if (!Est)
-    return Est;
-
-  // §5.4: shrink reuse chains until the register budget is met. Less
-  // reuse is exploited, slowing the fetch rate; the smaller design may
-  // then afford more operator parallelism.
-  if (Opts.RegisterCap) {
-    unsigned ChainLimit = TO.SR.MaxChainLength;
-    while (Est->Registers > *Opts.RegisterCap && ChainLimit > 1) {
-      ChainLimit /= 2;
-      TO.SR.MaxChainLength = ChainLimit;
-      TransformResult Capped = applyPipeline(Session->context(), TO);
-      if (!Capped.ok())
-        return Capped.Error;
-      Est = invokeBackend(Capped.K, P, false);
-      if (!Est)
-        return Est;
-    }
-  }
-  return Est;
-}
-
-Expected<SynthesisEstimate>
-EvaluationService::computeFast(const DesignPoint &P) const {
-  TransformOptions TO = transformOptionsFor(P);
-  // The site index accelerates scalar replacement without changing what
-  // it emits; gated here so Off stays the untouched historical path.
-  TO.SR.UseSiteIndex = true;
+  // The stage-cache factorization (strip-mine/unroll/normalize prefix +
+  // finishPipeline) is only proven for the default pipeline shape:
+  // interchange/tile points and custom pass pipelines run the unstaged
+  // pipeline.
+  bool Stageable = P.isUnrollOnly() && Opts.BaseTransforms.Pipeline.empty() &&
+                   Opts.BaseTransforms.Interchange.empty();
+  // With the built-in estimator, staged candidates are verified once per
+  // stage snapshot (see TransformStageCache::buildStage) rather than once
+  // per candidate, so the pipeline's own verification pass is skipped
+  // and the estimator does not re-verify; injected backends keep both.
+  bool Verified = Stageable && DefaultEstimator;
 
   // Every IR node this attempt builds — the stage clone, the finished
   // pipeline, register-capped re-runs — lands in this worker's arena and
@@ -296,49 +270,31 @@ EvaluationService::computeFast(const DesignPoint &P) const {
   } Guard{Arena};
   IRArenaScope Scope(&Arena);
 
-  // With the built-in estimator, verification happens once per stage
-  // snapshot (see TransformStageCache::buildStage) rather than once per
-  // candidate, so the pipeline's own verification pass is skipped here;
-  // injected backends keep it.
-  bool SkipVerify = DefaultEstimator;
-
+  auto estimate = [&](StageRunInfo *Info) -> Expected<SynthesisEstimate> {
+    TransformResult R = Stageable ? Pipeline.run(TO, Verified, Info)
+                                  : applyPipeline(Session->context(), TO);
+    if (Info)
+      traceStageCache(P, *Info);
+    if (!R.ok())
+      return R.Error;
+    return invokeBackend(R.K, P, Verified);
+  };
   StageRunInfo Info;
-  TransformResult R = FastPipeline->run(TO, SkipVerify, &Info);
-  traceStageCache(P, Info);
-  if (!R.ok())
-    return R.Error;
-  Expected<SynthesisEstimate> Est = invokeBackend(R.K, P, DefaultEstimator);
-  if (!Est)
-    return Est;
+  Expected<SynthesisEstimate> Est = estimate(Stageable ? &Info : nullptr);
 
+  // §5.4: shrink reuse chains until the register budget is met. Less
+  // reuse is exploited, slowing the fetch rate; the smaller design may
+  // then afford more operator parallelism. Staged re-runs only vary the
+  // post-stage passes, so they clone the same memoized stage.
   if (Opts.RegisterCap) {
     unsigned ChainLimit = TO.SR.MaxChainLength;
-    while (Est->Registers > *Opts.RegisterCap && ChainLimit > 1) {
+    while (Est && Est->Registers > *Opts.RegisterCap && ChainLimit > 1) {
       ChainLimit /= 2;
       TO.SR.MaxChainLength = ChainLimit;
-      // Re-runs only vary the post-stage passes, so they clone the same
-      // memoized stage.
-      TransformResult Capped = FastPipeline->run(TO, SkipVerify);
-      if (!Capped.ok())
-        return Capped.Error;
-      Est = invokeBackend(Capped.K, P, DefaultEstimator);
-      if (!Est)
-        return Est;
+      Est = estimate(nullptr);
     }
   }
   return Est;
-}
-
-/// Field-by-field bit equality (== on doubles is exact and handles the
-/// HUGE_VAL balance of memory-free designs; NaN never occurs here).
-static bool estimatesBitEqual(const SynthesisEstimate &A,
-                              const SynthesisEstimate &B) {
-  return A.Cycles == B.Cycles && A.Slices == B.Slices &&
-         A.Registers == B.Registers && A.Units == B.Units &&
-         A.FetchRate == B.FetchRate && A.ConsumeRate == B.ConsumeRate &&
-         A.Balance == B.Balance && A.MemOnlyCycles == B.MemOnlyCycles &&
-         A.CompOnlyCycles == B.CompOnlyCycles &&
-         A.BitsTransferred == B.BitsTransferred && A.FsmStates == B.FsmStates;
 }
 
 static std::atomic<uint64_t> InFlightEvals{0};
@@ -350,16 +306,16 @@ uint64_t EvaluationService::inFlightEvaluations() {
 Expected<SynthesisEstimate>
 EvaluationService::computeRaw(const DesignPoint &P) const {
   // The single instrumentation chokepoint for evaluation cost: the
-  // sequential walk, speculation workers, and verify mode all come
-  // through here. Zero-cost discipline: disabled, this is one relaxed
-  // load and a branch on top of the dispatch.
+  // sequential walk and speculation workers both come through here.
+  // Zero-cost discipline: disabled, this is one relaxed load and a branch
+  // on top of the estimate.
   if (!statsEnabled())
-    return computeDispatch(P);
+    return computeEstimate(P);
 
   InFlightEvals.fetch_add(1, std::memory_order_relaxed);
   Expected<SynthesisEstimate> Est = [&] {
     DEFACTO_SCOPED_HISTOGRAM_US("eval.latency_us");
-    return computeDispatch(P);
+    return computeEstimate(P);
   }();
   InFlightEvals.fetch_sub(1, std::memory_order_relaxed);
 
@@ -380,53 +336,6 @@ EvaluationService::computeRaw(const DesignPoint &P) const {
     SlicesHist.record(static_cast<uint64_t>(std::max(Est->Slices, 0.0)));
   }
   return Est;
-}
-
-Expected<SynthesisEstimate>
-EvaluationService::computeDispatch(const DesignPoint &P) const {
-  // The stage-cache factorization (strip-mine/unroll/normalize prefix +
-  // finishPipeline) is only proven for the default pipeline shape:
-  // interchange/tile points and custom pass pipelines take the
-  // historical route unconditionally.
-  bool Stageable = P.isUnrollOnly() && Opts.BaseTransforms.Pipeline.empty() &&
-                   Opts.BaseTransforms.Interchange.empty();
-  if (Opts.FastPath == FastPathMode::Off || !FastPipeline || !Stageable)
-    return computeSlow(P);
-  if (Opts.FastPath == FastPathMode::On)
-    return computeFast(P);
-
-  // Verify: run both routes for this attempt and return the slow result,
-  // so a verify run is behaviorally the historical engine plus
-  // assertions. Watchdog cancellations are timing, not parity; skip the
-  // comparison when either route was cancelled.
-  Expected<SynthesisEstimate> Fast = computeFast(P);
-  Expected<SynthesisEstimate> Slow = computeSlow(P);
-  bool Cancelled = (!Fast && Fast.status().code() == ErrorCode::Cancelled) ||
-                   (!Slow && Slow.status().code() == ErrorCode::Cancelled);
-  bool Violation = false;
-  if (!Cancelled) {
-    if (!Fast != !Slow)
-      Violation = true; // One route succeeded, the other failed.
-    else if (Fast && Slow)
-      Violation = !estimatesBitEqual(*Fast, *Slow);
-    // Both failed: same verdict; messages may legitimately differ
-    // (pipeline verification vs. the checked estimator's re-verify).
-  }
-  if (Violation) {
-    ++NumParityViolations;
-    TraceRecorder &R = recorder();
-    if (R.enabled()) {
-      TraceEvent Ev;
-      Ev.Track = Track;
-      Ev.Category = "dse.fastpath";
-      Ev.Name = P.toString();
-      Ev.Runtime = {{"event", "parity-violation"},
-                    {"fast", Fast ? Fast->toString() : Fast.status().toString()},
-                    {"slow", Slow ? Slow->toString() : Slow.status().toString()}};
-      R.record(std::move(Ev));
-    }
-  }
-  return Slow;
 }
 
 void EvaluationService::traceStageCache(const DesignPoint &P,

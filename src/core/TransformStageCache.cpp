@@ -164,16 +164,15 @@ TransformStageCache::Stats TransformStageCache::stats() const {
 }
 
 //===----------------------------------------------------------------------===//
-// FastPathPipeline
+// StagedPipeline
 //===----------------------------------------------------------------------===//
 
-FastPathPipeline::FastPathPipeline(const PipelineContext &Ctx,
-                                   std::shared_ptr<TransformStageCache> Cache)
-    : Ctx(Ctx), Cache(std::move(Cache)),
-      SourceFp(Ctx.fingerprint()) {}
+StagedPipeline::StagedPipeline(const PipelineContext &Ctx,
+                               std::shared_ptr<TransformStageCache> Cache)
+    : Ctx(Ctx), Cache(std::move(Cache)), SourceFp(Ctx.fingerprint()) {}
 
 TransformStageCache::EntryPtr
-FastPathPipeline::buildStage(const TransformOptions &Opts,
+StagedPipeline::buildStage(const TransformOptions &Opts,
                              const UnrollVector &Prefix) const {
   DEFACTO_SCOPED_TIMER("pipeline.stage");
   DEFACTO_SCOPED_HISTOGRAM_US("pipeline.stage_us");
@@ -206,8 +205,9 @@ FastPathPipeline::buildStage(const TransformOptions &Opts,
 
   // Verify once here; every candidate cloned from this stage skips its
   // own verification pass. The post-stage transforms preserve
-  // well-formedness by construction (continuously enforced by the
-  // fast-path parity suite and FastPathMode::Verify).
+  // well-formedness by construction (fastpath_parity_test compares the
+  // staged IR with applyPipeline's; tests/golden/paper_answers.golden
+  // pins the estimates).
   bool StageVerified = verifyKernel(K).empty();
 
   auto E = std::make_shared<TransformStageCache::Entry>(std::move(K));
@@ -218,9 +218,9 @@ FastPathPipeline::buildStage(const TransformOptions &Opts,
   return E;
 }
 
-TransformResult FastPathPipeline::run(const TransformOptions &Opts,
-                                      bool SkipVerify,
-                                      StageRunInfo *Info) const {
+TransformResult StagedPipeline::run(const TransformOptions &Opts,
+                                    bool SkipVerify,
+                                    StageRunInfo *Info) const {
   // The stage factorization below (strip-mine/unroll/normalize prefix +
   // finishPipeline suffix) is only valid for the default pipeline shape;
   // custom pass pipelines and interchange run the full pipeline.

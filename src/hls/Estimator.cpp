@@ -17,7 +17,6 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -121,8 +120,8 @@ SegmentSchedule memoizedScheduleSegment(const DFG &Graph,
 }
 
 /// Serializes one straight-line segment into the u64 blob that determines
-/// its DFG — and therefore its schedule — exactly. Replicated code is the
-/// fast path's whole premise: unrolled copies and peeled prologues differ
+/// its DFG — and therefore its schedule — exactly. Replicated code is what
+/// makes the memo pay: unrolled copies and peeled prologues differ
 /// only in which loop indices and scalar temporaries they name, neither
 /// of which the DFG shape depends on. Scalars are alpha-numbered in
 /// encounter order (their definedness dynamics and widths are encoded, so
@@ -291,28 +290,25 @@ SegmentSchedule memoizedScheduleStructural(
 class EstimatorWalk {
 public:
   EstimatorWalk(const Kernel &K, const TargetPlatform &P,
-                std::vector<RegionReport> *Breakdown,
-                bool UseScheduleMemo = false)
-      : K(K), P(P), Breakdown(Breakdown), UseScheduleMemo(UseScheduleMemo) {
+                std::vector<RegionReport> *Breakdown)
+      : K(K), P(P), Breakdown(Breakdown) {
     if (P.Widths == TargetPlatform::WidthModel::Inferred)
       Ranges = std::make_unique<ValueRangeAnalysis>(K);
     // Port assignment: the data layout pass records physical ids; for
     // kernels estimated without layout, assign round-robin on first use.
     // When every array already carries a physical id (layout ran), the
-    // first-use order is irrelevant and the fast path fills the fallback
-    // map straight from the declarations instead of walking the body.
-    if (UseScheduleMemo) {
-      bool AllPlaced = true;
-      for (const auto &A : K.arrays())
-        if (A->physicalMemId() < 0) {
-          AllPlaced = false;
-          break;
-        }
-      if (AllPlaced) {
-        for (const auto &A : K.arrays())
-          Ports[A.get()] = A->physicalMemId();
-        return;
+    // first-use order is irrelevant, so the map is filled straight from
+    // the declarations instead of walking the body.
+    bool AllPlaced = true;
+    for (const auto &A : K.arrays())
+      if (A->physicalMemId() < 0) {
+        AllPlaced = false;
+        break;
       }
+    if (AllPlaced) {
+      for (const auto &A : K.arrays())
+        Ports[A.get()] = A->physicalMemId();
+      return;
     }
     int Next = 0;
     unsigned M = P.NumMemories == 0 ? 1 : P.NumMemories;
@@ -361,7 +357,7 @@ private:
             return It == Ports.end() ? 0 : It->second;
           };
       SegmentSchedule Sched;
-      if (UseScheduleMemo && !Ranges) {
+      if (!Ranges) {
         // Structural memo: alpha-equivalent segments (the common case
         // across unrolled candidates) share one schedule without ever
         // building the DFG. Range-inferred widths depend on whole-kernel
@@ -373,8 +369,7 @@ private:
           DEFACTO_SCOPED_TIMER("estimator.dfg");
           Graph.emplace(buildSegmentDFG(Segment, PortFn, WidthOf));
         }
-        Sched = UseScheduleMemo ? memoizedScheduleSegment(*Graph, P)
-                                : scheduleSegment(*Graph, P);
+        Sched = memoizedScheduleSegment(*Graph, P);
       }
       T.Joint += Sched.JointCycles;
       T.MemOnly += Sched.MemOnlyCycles;
@@ -419,7 +414,6 @@ private:
   const Kernel &K;
   const TargetPlatform &P;
   std::vector<RegionReport> *Breakdown;
-  bool UseScheduleMemo;
   std::unique_ptr<ValueRangeAnalysis> Ranges;
   std::map<const ArrayDecl *, int> Ports;
 };
@@ -452,93 +446,11 @@ defacto::estimateDesign(const Kernel &K, const TargetPlatform &Platform,
     E.Balance = HUGE_VAL; // No memory traffic: trivially compute bound.
 
   // Registers: every scalar referenced in the body is a datapath
-  // register (source scalars and compiler temporaries alike).
-  std::set<const ScalarDecl *> Used;
-  walkStmts(const_cast<Kernel &>(K).body(), [&](Stmt *S) {
-    auto visit = [&](Expr *Ex) {
-      walkExpr(Ex, [&](Expr *X) {
-        if (auto *SR = dyn_cast<ScalarRefExpr>(X))
-          Used.insert(SR->decl());
-      });
-    };
-    if (auto *A = dyn_cast<AssignStmt>(S)) {
-      visit(A->dest());
-      visit(A->value());
-    } else if (auto *I = dyn_cast<IfStmt>(S)) {
-      visit(I->cond());
-    } else if (auto *R = dyn_cast<RotateStmt>(S)) {
-      for (const ScalarDecl *D : R->chain())
-        Used.insert(D);
-    }
-  });
-  E.Registers = Used.size();
-
-  double Area = 0;
-  for (const auto &[Shape, N] : T.PeakUnits)
-    Area += N * operatorAreaSlices(Shape.first, Shape.second);
-  for (const ScalarDecl *D : Used)
-    Area += registerAreaSlices(bitWidth(D->type()));
-  // Rotation paths add a feedback mux per register in each chain.
-  walkStmts(const_cast<Kernel &>(K).body(), [&](Stmt *S) {
-    if (auto *R = dyn_cast<RotateStmt>(S))
-      for (const ScalarDecl *D : R->chain())
-        Area += operatorAreaSlices(OpClass::Mux, bitWidth(D->type()));
-  });
-  // Memory interfaces: address counters and data registers per port.
-  Area += 25.0 * Platform.NumMemories;
-  // Control FSM: state register, next-state logic per state.
-  Area += 40.0 + 1.5 * static_cast<double>(T.States);
-  E.Slices = Area;
-  return E;
-}
-
-Expected<SynthesisEstimate>
-defacto::estimateDesignChecked(const Kernel &K,
-                               const TargetPlatform &Platform) {
-  std::vector<std::string> Problems = verifyKernel(K);
-  if (!Problems.empty())
-    return Status::error(ErrorCode::MalformedIR,
-                         "cannot estimate invalid kernel: " + Problems.front());
-  SynthesisEstimate Est = estimateDesign(K, Platform);
-  // A watchdog cancellation mid-walk leaves partial totals; report the
-  // cancellation rather than a garbage estimate.
-  if (Status Cancel = currentCancelStatus(); !Cancel.isOk())
-    return Cancel;
-  if (Est.Cycles == 0 || Est.Slices <= 0.0)
-    return Status::error(ErrorCode::EstimationFailed,
-                         "estimator returned a degenerate design (cycles=" +
-                             std::to_string(Est.Cycles) + ")");
-  return Est;
-}
-
-SynthesisEstimate defacto::estimateDesignFast(const Kernel &K,
-                                              const TargetPlatform &Platform) {
-  DEFACTO_SCOPED_TIMER("estimator.estimate");
-  Totals T =
-      EstimatorWalk(K, Platform, nullptr, /*UseScheduleMemo=*/true).run();
-
-  SynthesisEstimate E;
-  E.Cycles = static_cast<uint64_t>(std::llround(T.Joint));
-  E.MemOnlyCycles = T.MemOnly;
-  E.CompOnlyCycles = T.CompOnly;
-  E.BitsTransferred = T.Bits;
-  E.FsmStates = T.States;
-  E.Units = T.PeakUnits;
-
-  if (T.Bits > 0 && T.MemOnly > 0)
-    E.FetchRate = T.Bits / T.MemOnly;
-  if (T.Bits > 0 && T.CompOnly > 0)
-    E.ConsumeRate = T.Bits / T.CompOnly;
-  if (T.MemOnly > 0)
-    E.Balance = T.CompOnly / T.MemOnly;
-  else
-    E.Balance = HUGE_VAL;
-
-  // One pass over the body collects the register set, register area, and
-  // rotation-mux area together (estimateDesign makes two walks plus an
-  // ordered-set sweep). Every area term is a dyadic rational of modest
+  // register (source scalars and compiler temporaries alike). One pass
+  // collects the register set, the register area and the rotation-mux
+  // area together. Every area term is a dyadic rational of modest
   // magnitude, so each partial sum is exactly representable and the
-  // reordered summation yields the same bits as the split walks.
+  // summation order cannot change the result.
   std::unordered_set<const ScalarDecl *> Used;
   double RegisterArea = 0;
   double MuxArea = 0;
@@ -559,6 +471,7 @@ SynthesisEstimate defacto::estimateDesignFast(const Kernel &K,
     } else if (auto *I = dyn_cast<IfStmt>(S)) {
       visit(I->cond());
     } else if (auto *R = dyn_cast<RotateStmt>(S)) {
+      // Rotation paths add a feedback mux per register in each chain.
       for (const ScalarDecl *D : R->chain()) {
         noteUse(D);
         MuxArea += operatorAreaSlices(OpClass::Mux, bitWidth(D->type()));
@@ -572,20 +485,24 @@ SynthesisEstimate defacto::estimateDesignFast(const Kernel &K,
     Area += N * operatorAreaSlices(Shape.first, Shape.second);
   Area += RegisterArea;
   Area += MuxArea;
+  // Memory interfaces: address counters and data registers per port.
   Area += 25.0 * Platform.NumMemories;
+  // Control FSM: state register, next-state logic per state.
   Area += 40.0 + 1.5 * static_cast<double>(T.States);
   E.Slices = Area;
   return E;
 }
 
 Expected<SynthesisEstimate>
-defacto::estimateDesignCheckedFast(const Kernel &K,
-                                   const TargetPlatform &Platform) {
+defacto::estimateDesignChecked(const Kernel &K,
+                               const TargetPlatform &Platform) {
   std::vector<std::string> Problems = verifyKernel(K);
   if (!Problems.empty())
     return Status::error(ErrorCode::MalformedIR,
                          "cannot estimate invalid kernel: " + Problems.front());
-  SynthesisEstimate Est = estimateDesignFast(K, Platform);
+  SynthesisEstimate Est = estimateDesign(K, Platform);
+  // A watchdog cancellation mid-walk leaves partial totals; report the
+  // cancellation rather than a garbage estimate.
   if (Status Cancel = currentCancelStatus(); !Cancel.isOk())
     return Cancel;
   if (Est.Cycles == 0 || Est.Slices <= 0.0)

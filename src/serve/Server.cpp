@@ -84,8 +84,7 @@ struct DseServer::Pending {
 
 DseServer::DseServer(ServeOptions O) : Opts(std::move(O)) {
   Cache = std::make_shared<EstimateCache>();
-  if (Opts.FastPath != FastPathMode::Off)
-    StageCache = std::make_shared<TransformStageCache>();
+  StageCache = std::make_shared<TransformStageCache>();
   if (Opts.NumThreads > 1)
     Pool = std::make_shared<ThreadPool>(Opts.NumThreads);
   if (Opts.BreakerThreshold > 0) {
@@ -288,7 +287,7 @@ ServeResponse DseServer::handlePing(const ServeRequest &Req) const {
   R.Id = Req.Id;
   R.RStatus = ServeStatus::Pong;
   R.CacheDesigns = Cache->size();
-  R.StageCacheEntries = StageCache ? StageCache->size() : 0;
+  R.StageCacheEntries = StageCache->size();
   R.SessionEntries = Sessions.size();
   R.Requests = Requests.load();
   R.ResumedEvaluations = ResumedEvals;
@@ -456,7 +455,6 @@ void DseServer::runBatch(std::vector<std::shared_ptr<Pending>> Batch) {
     ExplorerOptions O;
     O.Platform = P->Platform;
     O.MaxEvaluations = std::max(1u, P->Req.Budget);
-    O.FastPath = Opts.FastPath;
     O.StageCache = StageCache;
     O.WatchdogSeconds = Opts.WatchdogSeconds;
     O.BaseTransforms.Pipeline = P->Req.Pipeline;
@@ -543,10 +541,8 @@ void DseServer::registerGauges(MetricsSampler &Sampler) {
                    [this] { return static_cast<double>(Cache->size()); });
   Sampler.setGauge("cache_sessions",
                    [this] { return static_cast<double>(Sessions.size()); });
-  if (StageCache)
-    Sampler.setGauge("stage_entries", [this] {
-      return static_cast<double>(StageCache->size());
-    });
+  Sampler.setGauge("stage_entries",
+                   [this] { return static_cast<double>(StageCache->size()); });
   Sampler.setGauge("in_flight_evals", [] {
     return static_cast<double>(EvaluationService::inFlightEvaluations());
   });

@@ -97,7 +97,7 @@ private:
     return -1;
   }
 
-  /// Hash of a site key for the optional index; exact equality is still
+  /// Hash of a site key for the site index; exact equality is still
   /// checked on every probe, so collisions only cost a compare.
   static uint64_t hashSiteKey(const ArrayDecl *Array,
                               const std::vector<AffineExpr> &Subs) {
@@ -117,16 +117,10 @@ private:
   }
 
   int findSite(const ArrayAccessExpr *A) const {
-    if (Opts.UseSiteIndex) {
-      auto It = SiteIndex.find(hashSiteKey(A->array(), A->subscripts()));
-      if (It == SiteIndex.end())
-        return -1;
-      for (unsigned I : It->second)
-        if (Sites[I].Array == A->array() && Sites[I].Subs == A->subscripts())
-          return static_cast<int>(I);
+    auto It = SiteIndex.find(hashSiteKey(A->array(), A->subscripts()));
+    if (It == SiteIndex.end())
       return -1;
-    }
-    for (unsigned I = 0; I != Sites.size(); ++I)
+    for (unsigned I : It->second)
       if (Sites[I].Array == A->array() && Sites[I].Subs == A->subscripts())
         return static_cast<int>(I);
     return -1;
@@ -152,9 +146,9 @@ private:
   const ScalarReplacementOptions &Opts;
   std::vector<ForStmt *> Nest;
   std::vector<Site> Sites;
-  /// Site-key hash -> site indices, maintained by collectSites when
-  /// Opts.UseSiteIndex is set. Sites are append-only after collection,
-  /// so the index stays valid through rewriteBody.
+  /// Site-key hash -> site indices, maintained by collectSites. Sites are
+  /// append-only after collection, so the index stays valid through
+  /// rewriteBody.
   std::unordered_map<uint64_t, std::vector<unsigned>> SiteIndex;
   std::vector<Stream> Streams;
   std::set<const ArrayDecl *> IneligibleArrays; // accessed under control flow
@@ -218,9 +212,8 @@ void ScalarReplacer::collectSites() {
         S.FirstUseIdx = Idx;
         Sites.push_back(std::move(S));
         SiteIdx = static_cast<int>(Sites.size()) - 1;
-        if (Opts.UseSiteIndex)
-          SiteIndex[hashSiteKey(A->array(), A->subscripts())].push_back(
-              static_cast<unsigned>(SiteIdx));
+        SiteIndex[hashSiteKey(A->array(), A->subscripts())].push_back(
+            static_cast<unsigned>(SiteIdx));
       }
       Site &S = Sites[SiteIdx];
       if (IsWrite)
@@ -298,54 +291,50 @@ void ScalarReplacer::buildStreams() {
     return;
   int InnerId = Nest.back()->loopId();
 
-  // Precomputed per-site signatures for the indexed fast path: two sites
-  // can belong to one stream only when every subscript pair differs by a
-  // constant, i.e. the loop-term vectors match exactly (AffineExpr is
-  // canonical, so term equality is sub().isConstant() verbatim). Group
-  // sites by (array, per-dimension terms) once; then streamDelta within
-  // a group is pure integer arithmetic over the precomputed constants —
-  // no AffineExpr temporaries in the quadratic greedy loop.
-  std::vector<int> GroupOf;
+  // Relative inner-iteration offset between two sites, when the shift is
+  // the *unique* explanation of element equality (mirrors the paper's
+  // consistent-distance requirement; S[i+j] vs S[i+j+1] is rejected
+  // because an outer loop could also explain the offset).
+  //
+  // Two sites can belong to one stream only when every subscript pair
+  // differs by a constant, i.e. the loop-term vectors match exactly
+  // (AffineExpr is canonical). Sites are grouped by (array, per-dimension
+  // terms) once, so the delta within a group is pure integer arithmetic
+  // over precomputed per-subscript signatures — no AffineExpr
+  // temporaries in the quadratic greedy loop below.
   struct SubSig {
     int64_t Constant = 0;
     int64_t InnerCoeff = 0;
     bool UsesOther = false;
   };
-  std::vector<std::vector<SubSig>> Sigs;
-  if (Opts.UseSiteIndex) {
-    GroupOf.resize(Sites.size(), -1);
-    Sigs.resize(Sites.size());
-    std::map<std::pair<const ArrayDecl *,
-                       std::vector<std::vector<std::pair<int, int64_t>>>>,
-             int>
-        Groups;
-    for (unsigned I = 0; I != Sites.size(); ++I) {
-      std::vector<std::vector<std::pair<int, int64_t>>> Terms;
-      Terms.reserve(Sites[I].Subs.size());
-      for (const AffineExpr &Sub : Sites[I].Subs) {
-        Terms.push_back(Sub.terms());
-        SubSig Sig;
-        Sig.Constant = Sub.constant();
-        Sig.InnerCoeff = Sub.coeff(InnerId);
-        for (const auto &[Id, Coeff] : Sub.terms()) {
-          (void)Coeff;
-          if (Id != InnerId)
-            Sig.UsesOther = true;
-        }
-        Sigs[I].push_back(Sig);
+  std::vector<int> GroupOf(Sites.size(), -1);
+  std::vector<std::vector<SubSig>> Sigs(Sites.size());
+  std::map<std::pair<const ArrayDecl *,
+                     std::vector<std::vector<std::pair<int, int64_t>>>>,
+           int>
+      Groups;
+  for (unsigned I = 0; I != Sites.size(); ++I) {
+    std::vector<std::vector<std::pair<int, int64_t>>> Terms;
+    Terms.reserve(Sites[I].Subs.size());
+    for (const AffineExpr &Sub : Sites[I].Subs) {
+      Terms.push_back(Sub.terms());
+      SubSig Sig;
+      Sig.Constant = Sub.constant();
+      Sig.InnerCoeff = Sub.coeff(InnerId);
+      for (const auto &[Id, Coeff] : Sub.terms()) {
+        (void)Coeff;
+        if (Id != InnerId)
+          Sig.UsesOther = true;
       }
-      auto [It, Inserted] = Groups.emplace(
-          std::make_pair(Sites[I].Array, std::move(Terms)),
-          static_cast<int>(Groups.size()));
-      GroupOf[I] = It->second;
-      (void)Inserted;
+      Sigs[I].push_back(Sig);
     }
+    auto Group =
+        Groups.emplace(std::make_pair(Sites[I].Array, std::move(Terms)),
+                       static_cast<int>(Groups.size()));
+    GroupOf[I] = Group.first->second;
   }
 
-  // Signature-based delta: bit-identical verdicts to the AffineExpr
-  // version below, an order of magnitude cheaper.
-  auto fastStreamDelta = [&](unsigned I,
-                             unsigned J) -> std::optional<int64_t> {
+  auto streamDelta = [&](unsigned I, unsigned J) -> std::optional<int64_t> {
     if (GroupOf[I] != GroupOf[J])
       return std::nullopt; // Some dimension's difference is not constant.
     std::optional<int64_t> Delta;
@@ -354,6 +343,7 @@ void ScalarReplacer::buildStreams() {
     for (unsigned D = 0; D != A.size(); ++D) {
       int64_t DiffC = B[D].Constant - A[D].Constant;
       if (A[D].UsesOther) {
+        // Mixed dimension: only a zero offset is uniquely explained.
         if (DiffC != 0)
           return std::nullopt;
         continue;
@@ -364,48 +354,6 @@ void ScalarReplacer::buildStreams() {
         continue;
       }
       int64_t Scale = A[D].InnerCoeff * Nest.back()->step();
-      if (DiffC % Scale != 0)
-        return std::nullopt;
-      int64_t D1 = DiffC / Scale;
-      if (Delta && *Delta != D1)
-        return std::nullopt;
-      Delta = D1;
-    }
-    return Delta ? Delta : std::optional<int64_t>(0);
-  };
-
-  // Relative inner-iteration offset between two sites, when the shift is
-  // the *unique* explanation of element equality (mirrors the paper's
-  // consistent-distance requirement; S[i+j] vs S[i+j+1] is rejected
-  // because an outer loop could also explain the offset).
-  auto streamDelta = [&](const Site &A,
-                         const Site &B) -> std::optional<int64_t> {
-    if (A.Array != B.Array || A.Subs.size() != B.Subs.size())
-      return std::nullopt;
-    std::optional<int64_t> Delta;
-    for (unsigned D = 0; D != A.Subs.size(); ++D) {
-      const AffineExpr &SA = A.Subs[D];
-      const AffineExpr &SB = B.Subs[D];
-      if (!SA.sub(SB).isConstant())
-        return std::nullopt; // Not uniformly generated.
-      int64_t DiffC = SB.constant() - SA.constant();
-      bool UsesOther = false;
-      for (int Id : SA.loopIds())
-        if (Id != InnerId)
-          UsesOther = true;
-      int64_t InnerCoeff = SA.coeff(InnerId);
-      if (UsesOther) {
-        // Mixed dimension: only a zero offset is uniquely explained.
-        if (DiffC != 0)
-          return std::nullopt;
-        continue;
-      }
-      if (InnerCoeff == 0) {
-        if (DiffC != 0)
-          return std::nullopt;
-        continue;
-      }
-      int64_t Scale = InnerCoeff * Nest.back()->step();
       if (DiffC % Scale != 0)
         return std::nullopt;
       int64_t D1 = DiffC / Scale;
@@ -446,8 +394,7 @@ void ScalarReplacer::buildStreams() {
         continue;
       if (SJ.Plan != SitePlan::Keep && SJ.Plan != SitePlan::CseTemp)
         continue;
-      auto Delta =
-          Opts.UseSiteIndex ? fastStreamDelta(I, J) : streamDelta(SI, SJ);
+      auto Delta = streamDelta(I, J);
       if (!Delta)
         continue;
       StreamOf[J] = StreamOf[I];

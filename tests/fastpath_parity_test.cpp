@@ -1,30 +1,30 @@
-//===- fastpath_parity_test.cpp - Fast-path bit-identity guarantees -------===//
+//===- fastpath_parity_test.cpp - Staged-route bit-identity guarantees ----===//
 //
 // Part of the DEFACTO-DSE project, under the MIT License.
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The evaluation fast path (--fast-path=on: arena clones, memoized
-/// transform stages with a finished-candidate level, memoized
-/// estimation) must not move a single bit of any exploration:
+/// The staged evaluation route (arena clones, memoized transform stages
+/// with a finished-candidate level) must not move a single bit of any
+/// exploration:
 ///
 ///   * the staged pipeline prints IR identical to applyPipeline() for
 ///     every paper kernel across unroll vectors and strip-mining;
-///   * FastPathMode::Verify — which runs every candidate through both
-///     routes and compares estimates field-exact (Cycles, Slices,
-///     Registers, Balance as doubles, no tolerance) — never records a
-///     parity violation across a 32-seed random fuzz of fig4–fig10;
-///   * winners, estimates, visit tables, and decisionDigest() are
-///     identical off vs on, at 1 and 8 worker threads;
-///   * a warm TransformStageCache (candidates served from the
-///     finished-kernel level, skipping every transform pass) still
-///     reproduces the off-path digest bit-for-bit.
+///   * a cold and a warm TransformStageCache (candidates served from the
+///     finished-kernel level, skipping every transform pass) both
+///     reproduce the committed golden answer of the MM sweep — winner,
+///     every candidate's estimate, and the decision digest.
 ///
-/// Also the IRArena unit contract the fast path leans on: arena clones
-/// print identically to heap clones, reset() recycles blocks, and a
-/// suspended scope (IRArenaScope(nullptr)) durably heap-allocates.
+/// paper_answers_test pins every kernel x platform x strategy against
+/// the same golden file at 1 and 8 threads.
+///
+/// Also the IRArena unit contract the staged route leans on: arena
+/// clones print identically to heap clones, reset() recycles blocks, and
+/// a suspended scope (IRArenaScope(nullptr)) durably heap-allocates.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "PaperAnswers.h"
 
 #include "defacto/Core/Explorer.h"
 #include "defacto/Core/TransformStageCache.h"
@@ -46,46 +46,17 @@ uint64_t statValue(const char *Group, const char *Name) {
   return 0;
 }
 
-void expectEstimatesExact(const SynthesisEstimate &A,
-                          const SynthesisEstimate &B) {
-  EXPECT_EQ(A.Cycles, B.Cycles);
-  EXPECT_EQ(A.Slices, B.Slices); // exact double equality, no tolerance
-  EXPECT_EQ(A.Registers, B.Registers);
-  EXPECT_EQ(A.Balance, B.Balance);
-  EXPECT_EQ(A.FsmStates, B.FsmStates);
-}
-
-void expectIdentical(const ExplorationResult &A, const ExplorationResult &B) {
-  EXPECT_EQ(A.Selected, B.Selected);
-  expectEstimatesExact(A.SelectedEstimate, B.SelectedEstimate);
-  expectEstimatesExact(A.BaselineEstimate, B.BaselineEstimate);
-  EXPECT_EQ(A.SelectedFits, B.SelectedFits);
-  EXPECT_EQ(A.EvaluationsUsed, B.EvaluationsUsed);
-  ASSERT_EQ(A.Visited.size(), B.Visited.size());
-  for (size_t I = 0; I != A.Visited.size(); ++I) {
-    EXPECT_EQ(A.Visited[I].U, B.Visited[I].U);
-    expectEstimatesExact(A.Visited[I].Estimate, B.Visited[I].Estimate);
-  }
-}
-
-struct TracedRun {
-  ExplorationResult Result;
-  std::vector<std::string> Digest;
-};
-
-TracedRun runExhaustive(const std::string &Name, FastPathMode Mode,
-                        unsigned Threads,
-                        std::shared_ptr<TransformStageCache> Stages = nullptr) {
+/// One traced exhaustive MM sweep over \p Stages, as golden lines.
+std::vector<std::string>
+exhaustiveMMAnswer(std::shared_ptr<TransformStageCache> Stages) {
   auto Trace = std::make_shared<TraceRecorder>();
   Trace->setEnabled(true);
   ExplorerOptions Opts;
-  Opts.NumThreads = Threads;
   Opts.Trace = Trace;
-  Opts.FastPath = Mode;
   Opts.StageCache = std::move(Stages);
-  Kernel K = buildKernel(Name);
-  ExplorationResult R = exploreExhaustive(K, Opts);
-  return {std::move(R), Trace->decisionDigest()};
+  ExplorationResult R = exploreExhaustive(buildKernel("MM"), Opts);
+  return paper_answers::answerLines("MM", Opts.Platform.Name, "exhaustive",
+                                    R, Trace->decisionDigest());
 }
 
 } // namespace
@@ -118,7 +89,7 @@ TEST(FastpathParity, StagedPipelinePrintsIdenticalIR) {
     Kernel K = buildKernel(Spec.Name);
     PipelineContext Ctx(K);
     auto Cache = std::make_shared<TransformStageCache>();
-    FastPathPipeline Fast(Ctx, Cache);
+    StagedPipeline Fast(Ctx, Cache);
     for (const TransformOptions &Opts : Configs) {
       SCOPED_TRACE(Spec.Name + "/U=" + unrollVectorToString(Opts.Unroll) +
                    (Opts.StripMine ? "/stripmined" : ""));
@@ -138,89 +109,29 @@ TEST(FastpathParity, StagedPipelinePrintsIdenticalIR) {
 }
 
 //===----------------------------------------------------------------------===//
-// 32-seed fuzz: Verify mode never finds an estimate mismatch.
+// Warm stage cache: the finished-kernel level reproduces the golden answer.
 //===----------------------------------------------------------------------===//
 
-TEST(FastpathParity, VerifyModeNeverDivergesAcross32Seeds) {
+TEST(FastpathParity, WarmFinalCacheReproducesGoldenAnswer) {
+  std::vector<std::string> Golden = paper_answers::goldenAnswer(
+      "MM", TargetPlatform::wildstarPipelined().Name, "exhaustive");
+  ASSERT_FALSE(Golden.empty()) << "no MM exhaustive answer in "
+                               << paper_answers::goldenPath();
+
   StatRegistry::instance().setEnabled(true);
-  uint64_t Before = statValue("fastpath", "parity_violations");
-  for (const KernelSpec &Spec : paperKernels()) {
-    Kernel K = buildKernel(Spec.Name);
-    for (unsigned Seed = 0; Seed != 32; ++Seed) {
-      SCOPED_TRACE(Spec.Name + "/seed=" + std::to_string(Seed));
-      ExplorerOptions Opts;
-      Opts.FastPath = FastPathMode::Verify;
-      ExplorationResult R = exploreRandom(K, Opts, /*Samples=*/6, Seed);
-      EXPECT_FALSE(R.Visited.empty());
-      ASSERT_EQ(statValue("fastpath", "parity_violations"), Before)
-          << "fast path diverged from the reference path";
-    }
-  }
-  StatRegistry::instance().setEnabled(false);
-}
-
-//===----------------------------------------------------------------------===//
-// Winners and decision digests: off vs on, 1 and 8 threads.
-//===----------------------------------------------------------------------===//
-
-TEST(FastpathParity, ExhaustiveDigestIdenticalOffVsOn) {
-  for (const KernelSpec &Spec : paperKernels())
-    for (unsigned Threads : {1u, 8u}) {
-      SCOPED_TRACE(Spec.Name + "/threads=" + std::to_string(Threads));
-      TracedRun Off = runExhaustive(Spec.Name, FastPathMode::Off, Threads);
-      TracedRun On = runExhaustive(Spec.Name, FastPathMode::On, Threads);
-      ASSERT_FALSE(Off.Digest.empty());
-      expectIdentical(Off.Result, On.Result);
-      EXPECT_EQ(Off.Digest, On.Digest);
-    }
-}
-
-TEST(FastpathParity, GuidedWalkIdenticalOffVsOn) {
-  for (const KernelSpec &Spec : paperKernels())
-    for (unsigned Threads : {1u, 8u}) {
-      SCOPED_TRACE(Spec.Name + "/threads=" + std::to_string(Threads));
-      auto run = [&](FastPathMode Mode) {
-        auto Trace = std::make_shared<TraceRecorder>();
-        Trace->setEnabled(true);
-        ExplorerOptions Opts;
-        Opts.NumThreads = Threads;
-        Opts.Trace = Trace;
-        Opts.FastPath = Mode;
-        Kernel K = buildKernel(Spec.Name);
-        ExplorationResult R = DesignSpaceExplorer(K, Opts).run();
-        return TracedRun{std::move(R), Trace->decisionDigest()};
-      };
-      TracedRun Off = run(FastPathMode::Off);
-      TracedRun On = run(FastPathMode::On);
-      ASSERT_FALSE(Off.Digest.empty());
-      expectIdentical(Off.Result, On.Result);
-      EXPECT_EQ(Off.Digest, On.Digest);
-    }
-}
-
-//===----------------------------------------------------------------------===//
-// Warm stage cache: the finished-kernel level reproduces the off path.
-//===----------------------------------------------------------------------===//
-
-TEST(FastpathParity, WarmFinalCacheReproducesOffDigest) {
-  StatRegistry::instance().setEnabled(true);
-  TracedRun Off = runExhaustive("MM", FastPathMode::Off, 1);
-
   auto Stages = std::make_shared<TransformStageCache>();
-  TracedRun Cold = runExhaustive("MM", FastPathMode::On, 1, Stages);
+  std::vector<std::string> Cold = exhaustiveMMAnswer(Stages);
   uint64_t HitsAfterCold = statValue("cache", "final_hits");
-  TracedRun Warm = runExhaustive("MM", FastPathMode::On, 1, Stages);
+  std::vector<std::string> Warm = exhaustiveMMAnswer(Stages);
   uint64_t HitsAfterWarm = statValue("cache", "final_hits");
   StatRegistry::instance().setEnabled(false);
 
   // The second sweep was actually served from the finished-kernel level —
-  // otherwise this test would silently degrade into ExhaustiveDigest.
+  // otherwise this test would silently degrade into a second cold sweep.
   EXPECT_GT(HitsAfterWarm, HitsAfterCold);
 
-  expectIdentical(Off.Result, Cold.Result);
-  expectIdentical(Off.Result, Warm.Result);
-  EXPECT_EQ(Off.Digest, Cold.Digest);
-  EXPECT_EQ(Off.Digest, Warm.Digest);
+  EXPECT_EQ(Cold, Golden);
+  EXPECT_EQ(Warm, Golden);
 }
 
 //===----------------------------------------------------------------------===//

@@ -17,6 +17,8 @@
 #include "defacto/Support/MetricsSampler.h"
 #include "defacto/Kernels/Kernels.h"
 #include "defacto/Support/Json.h"
+#include "defacto/Support/Stats.h"
+#include "defacto/Support/Timer.h"
 #include "defacto/Transforms/UnrollAndJam.h"
 
 #include "gtest/gtest.h"
@@ -113,18 +115,40 @@ protected:
 //===----------------------------------------------------------------------===//
 
 TEST_F(ServeTest, RepeatRequestServedWarmAndBitIdentical) {
+  // Invocation counts of the two layers a warm request must skip; the
+  // phase timers count scopes only while stats recording is on.
+  struct Recording {
+    Recording() { StatRegistry::instance().setEnabled(true); }
+    ~Recording() { StatRegistry::instance().setEnabled(false); }
+  } StatsOn;
+  PhaseTimer &Estimator = TimerGroup::global().timer("estimator.invoke");
+  PhaseTimer &Pipeline = TimerGroup::global().timer("pipeline.run");
+
   startServer({});
+  uint64_t EstimatorBefore = Estimator.count();
+  uint64_t PipelineBefore = Pipeline.count();
   ServeResponse Cold = oneShot(SocketPath, exploreFIR());
   ASSERT_EQ(Cold.RStatus, ServeStatus::Ok) << Cold.Reason;
   EXPECT_FALSE(Cold.Warm);
   EXPECT_GT(Cold.CacheMisses, 0u);
   EXPECT_FALSE(Cold.Digest.empty());
+  // The cold request really ran both layers, so the zero deltas below
+  // are evidence, not a disabled counter.
+  EXPECT_GT(Estimator.count(), EstimatorBefore);
+  EXPECT_GT(Pipeline.count(), PipelineBefore);
 
+  EstimatorBefore = Estimator.count();
+  PipelineBefore = Pipeline.count();
   ServeResponse Hot = oneShot(SocketPath, exploreFIR());
   ASSERT_EQ(Hot.RStatus, ServeStatus::Ok) << Hot.Reason;
   EXPECT_TRUE(Hot.Warm);
   EXPECT_EQ(Hot.CacheMisses, 0u);
   EXPECT_GT(Hot.CacheHits, 0u);
+  // The warm request did no estimator or transform-pipeline work at all.
+  // (Its speed is gated by bench/serve_throughput and perfbench
+  // serve-warm; a wall-clock ratio here is flaky under CPU contention.)
+  EXPECT_EQ(Estimator.count(), EstimatorBefore);
+  EXPECT_EQ(Pipeline.count(), PipelineBefore);
 
   // The warm answer is the cold answer, bit for bit: same winner, same
   // estimate (slices travel as hexfloat, so == is exact), same walk.
@@ -132,11 +156,6 @@ TEST_F(ServeTest, RepeatRequestServedWarmAndBitIdentical) {
   EXPECT_EQ(Hot.Cycles, Cold.Cycles);
   EXPECT_EQ(Hot.Slices, Cold.Slices);
   EXPECT_EQ(Hot.Digest, Cold.Digest);
-
-  // And it is faster: the cold run pays the estimator, the warm one only
-  // the cache walk. Generous 2x margin (observed ~16x) to stay unflaky.
-  EXPECT_LT(Hot.LatencyUs, Cold.LatencyUs / 2)
-      << "warm=" << Hot.LatencyUs << "us cold=" << Cold.LatencyUs << "us";
 
   EXPECT_EQ(Server->requestsReceived(), 2u);
   EXPECT_EQ(Server->warmHits(), 1u);
@@ -248,7 +267,6 @@ TEST_F(ServeTest, ServedDigestMatchesStandaloneRun) {
   ExplorerOptions O;
   O.Platform = TargetPlatform::wildstarPipelined();
   O.MaxEvaluations = 30;
-  O.FastPath = FastPathMode::On;
   O.StageCache = std::make_shared<TransformStageCache>();
   O.Trace = Recorder;
   BatchOptions B;

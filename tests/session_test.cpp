@@ -101,7 +101,6 @@ TEST(KernelSession, SharedSessionAnswersMatchFreshServices) {
     ExplorerOptions O;
     O.Platform = P;
     O.MaxEvaluations = 40;
-    O.FastPath = FastPathMode::On;
     O.Trace = Recorder;
     return O;
   };

@@ -16,9 +16,9 @@
 ///   defacto_served --socket=/tmp/dse.sock [--threads=N]
 ///       [--queue-depth=N] [--max-batch=N] [--journal=PATH]
 ///       [--watchdog=SEC] [--breaker-threshold=N] [--breaker-cooldown=SEC]
-///       [--fastpath=off|on|verify] [--metrics-jsonl=PATH]
-///       [--metrics-prom=PATH] [--metrics-interval=SEC]
-///       [--trace-out=PATH] [--stats] [--stats-out=PATH]
+///       [--metrics-jsonl=PATH] [--metrics-prom=PATH]
+///       [--metrics-interval=SEC] [--trace-out=PATH] [--stats]
+///       [--stats-out=PATH]
 ///
 /// Runs until a client sends {"cmd":"shutdown"} or the process receives
 /// SIGINT/SIGTERM. Exit 0 on a clean shutdown, 1 when the daemon could
@@ -51,9 +51,9 @@ int usage(const char *Argv0) {
                "usage: %s --socket=PATH [--threads=N] [--queue-depth=N]\n"
                "  [--max-batch=N] [--journal=PATH] [--watchdog=SEC]\n"
                "  [--breaker-threshold=N] [--breaker-cooldown=SEC]\n"
-               "  [--fastpath=off|on|verify] [--metrics-jsonl=PATH]\n"
-               "  [--metrics-prom=PATH] [--metrics-interval=SEC]\n"
-               "  [--trace-out=PATH] [--stats] [--stats-out=PATH]\n",
+               "  [--metrics-jsonl=PATH] [--metrics-prom=PATH]\n"
+               "  [--metrics-interval=SEC] [--trace-out=PATH] [--stats]\n"
+               "  [--stats-out=PATH]\n",
                Argv0);
   return 2;
 }
@@ -81,15 +81,6 @@ int main(int argc, char **argv) {
       Args.consumeUnsigned("--breaker-threshold").value_or(0);
   Opts.BreakerCooldownSeconds =
       parseSeconds(Args.consumeValue("--breaker-cooldown"), 30);
-  std::string FastPath = Args.consumeValue("--fastpath").value_or("on");
-  if (FastPath == "off")
-    Opts.FastPath = FastPathMode::Off;
-  else if (FastPath == "on")
-    Opts.FastPath = FastPathMode::On;
-  else if (FastPath == "verify")
-    Opts.FastPath = FastPathMode::Verify;
-  else
-    return usage(argv[0]);
 
   std::string MetricsJsonl = Args.consumeValue("--metrics-jsonl").value_or("");
   std::string MetricsProm = Args.consumeValue("--metrics-prom").value_or("");
