@@ -17,6 +17,11 @@
 ///                 [--metrics-out=PATH] [--metrics-interval-ms=N]
 ///                 [--metrics-prom=PATH]
 ///
+/// --threads sets how many jobs run at once; it defaults to the CPUs the
+/// process may run on (availableCores()), capped at the job count, and a
+/// lone job runs on the main thread. The result table does not depend on
+/// it.
+///
 /// --strategy selects any StrategyRegistry search ("guided",
 /// "exhaustive", "random", "hillclimb", "portfolio", "guided+tile", or
 /// one a caller registered); an unknown name lists the registry and
@@ -86,7 +91,8 @@ using namespace defacto;
 int main(int Argc, char **Argv) {
   cl::ArgList Args(Argc, Argv);
   BatchOptions Batch;
-  Batch.NumThreads = Args.consumeUnsigned("--threads").value_or(2);
+  Batch.NumThreads =
+      Args.consumeUnsigned("--threads").value_or(availableCores());
   std::string Strategy = Args.consumeValue("--strategy").value_or("guided");
   if (Args.consumeFlag("--exhaustive"))
     Strategy = "exhaustive";
@@ -209,10 +215,7 @@ int main(int Argc, char **Argv) {
   // way they share the estimate cache.
   auto StageCache = std::make_shared<TransformStageCache>();
 
-  if (Metrics && !Batch.Pool && Batch.NumThreads > 1)
-    Batch.Pool = std::make_shared<ThreadPool>(Batch.NumThreads);
-
-  BatchExplorer Engine(Batch);
+  std::vector<BatchJob> Jobs;
   for (unsigned Round = 0; Round != std::max(1u, Repeat); ++Round)
     for (const std::string &Name : Names) {
       if (!findKernelSpec(Name)) {
@@ -228,14 +231,22 @@ int main(int Argc, char **Argv) {
         std::string Label = Name + " @ " + Platform.Name;
         if (Round > 0)
           Label += " (repeat)";
-        Engine.addJob(
-            BatchJob(Label, buildKernel(Name), std::move(Opts), Strategy));
+        Jobs.emplace_back(Label, buildKernel(Name), std::move(Opts), Strategy);
       }
     }
 
-  unsigned NumJobs = Engine.numJobs();
-  std::printf("exploring %u job(s) on %u thread(s), %s search\n\n", NumJobs,
-              Batch.NumThreads, Strategy.c_str());
+  // The metrics gauges watch the pool's queue, so build the pool runAll()
+  // would, by the same sizing rule.
+  unsigned Threads = batchThreads(Batch.NumThreads, Jobs.size());
+  if (Metrics && Threads > 1)
+    Batch.Pool = std::make_shared<ThreadPool>(Threads);
+
+  BatchExplorer Engine(Batch);
+  for (BatchJob &Job : Jobs)
+    Engine.addJob(std::move(Job));
+
+  std::printf("exploring %u job(s) on %u thread(s), %s search\n\n",
+              Engine.numJobs(), Threads, Strategy.c_str());
   if (Resume)
     std::printf("resumed from journal %s: %u evaluation(s) replayed, "
                 "%zu finished job(s) on record\n\n",

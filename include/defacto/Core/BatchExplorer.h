@@ -71,11 +71,15 @@ struct BatchResult {
 
 /// Batch-level configuration.
 struct BatchOptions {
-  /// Concurrent jobs. <= 1 runs the batch sequentially (still sharing
-  /// the cache across jobs).
+  /// Concurrent jobs. runAll() creates a pool of
+  /// batchThreads(NumThreads, jobs) workers: a lone job, or NumThreads
+  /// <= 1, runs on the calling thread (still sharing the cache across
+  /// jobs). Each job runs single-threaded inside its worker. The drivers
+  /// default this to availableCores().
   unsigned NumThreads = 1;
-  /// Pool to run jobs on; created on demand when unset and NumThreads
-  /// exceeds one.
+  /// Pool to run a multi-job batch on, in place of the one runAll()
+  /// would create (NumThreads is then ignored). A lone job never uses
+  /// it: it runs inline, saving the handoff to a worker.
   std::shared_ptr<ThreadPool> Pool;
   /// Estimate cache shared by every job; created when unset. Exposed so
   /// callers can carry warm state across batches.
@@ -143,6 +147,12 @@ private:
   std::atomic<uint64_t> JobsQueued{0};
   std::atomic<uint64_t> JobsDone{0};
 };
+
+/// Workers a batch of \p NumJobs jobs uses when asked for \p NumThreads:
+/// one for a lone job, which runs inline, else min(NumThreads, NumJobs).
+/// runAll() sizes the pool it creates by this rule; a caller that builds
+/// its own pool for a batch sizes it the same way.
+unsigned batchThreads(unsigned NumThreads, size_t NumJobs);
 
 /// One-shot convenience: run \p Jobs with \p Opts.
 std::vector<BatchResult> exploreBatch(std::vector<BatchJob> Jobs,

@@ -57,6 +57,7 @@
 #include "defacto/Core/KernelSession.h"
 #include "defacto/Serve/Protocol.h"
 #include "defacto/Support/Socket.h"
+#include "defacto/Support/ThreadPool.h"
 
 #include <atomic>
 #include <condition_variable>
@@ -76,8 +77,10 @@ class MetricsSampler;
 struct ServeOptions {
   /// Filesystem path of the Unix-domain socket to listen on.
   std::string SocketPath;
-  /// Worker threads for coalesced batch runs (BatchOptions::NumThreads).
-  unsigned NumThreads = 2;
+  /// Worker threads for coalesced batch runs (BatchOptions::NumThreads):
+  /// the CPUs this process may run on unless set. A batch of one request
+  /// runs inline on the batch worker; 1 runs every batch there.
+  unsigned NumThreads = availableCores();
   /// Admission bound: queued explore requests past this depth are
   /// answered "overloaded" immediately. 0 rejects everything (useful in
   /// tests); the daemon default is 64.
@@ -189,7 +192,7 @@ private:
   // Process-lifetime warm state, shared by every served batch.
   std::shared_ptr<EstimateCache> Cache;
   std::shared_ptr<TransformStageCache> StageCache;
-  std::shared_ptr<ThreadPool> Pool; // null when NumThreads <= 1
+  std::shared_ptr<ThreadPool> Pool; // null when batches run inline
   std::shared_ptr<CircuitBreakerRegistry> Breakers;
   std::shared_ptr<EvaluationJournal> Journal;
   unsigned ResumedEvals = 0;

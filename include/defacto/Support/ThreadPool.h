@@ -33,6 +33,13 @@
 
 namespace defacto {
 
+/// CPUs this process may run on: the size of its affinity mask on Linux
+/// (so a taskset or cgroup-pinned process sees its share, not the
+/// machine's), std::thread::hardware_concurrency() elsewhere or when the
+/// mask cannot be read. Never less than one. The default worker count of
+/// the batch driver and the daemon.
+unsigned availableCores();
+
 /// Fixed worker count, FIFO task queue, future-based results.
 class ThreadPool {
 public:

@@ -8,7 +8,16 @@
 
 #include "defacto/Core/EvaluationJournal.h"
 
+#include <algorithm>
+
 using namespace defacto;
+
+unsigned defacto::batchThreads(unsigned NumThreads, size_t NumJobs) {
+  if (NumJobs <= 1)
+    return 1;
+  return static_cast<unsigned>(
+      std::min<size_t>(std::max(1u, NumThreads), NumJobs));
+}
 
 BatchExplorer::BatchExplorer(BatchOptions Opts) : Opts(std::move(Opts)) {
   Cache = this->Opts.Cache ? this->Opts.Cache
@@ -39,6 +48,14 @@ ExplorationResult runJob(BatchJob &Job,
   // is the batch's, and nested speculation into the batch pool could
   // deadlock it (every worker waiting on tasks no worker is free to
   // run). The shared cache still lets concurrent jobs feed each other.
+  // A private per-job pool would not pay either: guided speculation
+  // prefetches the whole Increase chain, whose large-unroll points cost
+  // far more to transform and estimate than the walk ever needs, and
+  // drainSpeculation() waits for all of them before the job returns. The
+  // bench/perf_dse_throughput BM_ExplorationThreads sweep measures
+  // guided runs about 5-60x slower at 2-8 threads than at 1, with the
+  // same answers (ROADMAP.md, "Speculation that waits for designs the
+  // walk never visits").
   ExplorerOptions Opts = Job.Opts;
   Opts.NumThreads = 1;
   Opts.Pool = nullptr;
@@ -120,34 +137,34 @@ std::vector<BatchResult> BatchExplorer::runAll() {
           Journal->recordEvaluation(Key, R);
         });
 
-  bool Parallel = Opts.Pool != nullptr || Opts.NumThreads > 1;
-  if (!Parallel) {
-    for (size_t I = 0; I != Pending.size(); ++I) {
-      Results[I].Result =
-          runJob(Pending[I], Cache, Opts.Trace, Opts.Breakers);
-      if (Opts.Journal)
-        journalJob(*Opts.Journal, Results[I].Name, Results[I].Result);
-      JobsDone.fetch_add(1, std::memory_order_relaxed);
-    }
+  auto Run = [this, &Pending, &Results](size_t I) {
+    Results[I].Result = runJob(Pending[I], Cache, Opts.Trace, Opts.Breakers);
     if (Opts.Journal)
-      Cache->setObserver({});
-    return Results;
-  }
+      journalJob(*Opts.Journal, Results[I].Name, Results[I].Result);
+    JobsDone.fetch_add(1, std::memory_order_relaxed);
+  };
 
-  std::shared_ptr<ThreadPool> Pool =
-      Opts.Pool ? Opts.Pool : std::make_shared<ThreadPool>(Opts.NumThreads);
-  std::vector<std::future<void>> Done;
-  Done.reserve(Pending.size());
-  for (size_t I = 0; I != Pending.size(); ++I)
-    Done.push_back(Pool->submit([this, &Pending, &Results, I] {
-      Results[I].Result =
-          runJob(Pending[I], Cache, Opts.Trace, Opts.Breakers);
-      if (Opts.Journal)
-        journalJob(*Opts.Journal, Results[I].Name, Results[I].Result);
-      JobsDone.fetch_add(1, std::memory_order_relaxed);
-    }));
-  for (std::future<void> &F : Done)
-    F.wait();
+  // A lone job runs inline even when a pool is supplied: handing it over
+  // would only add a thread handoff (two wakeups) to its latency, and a
+  // pool created for it would only add the cost of spawning workers.
+  std::shared_ptr<ThreadPool> Pool;
+  if (Pending.size() > 1) {
+    if (Opts.Pool)
+      Pool = Opts.Pool;
+    else if (unsigned N = batchThreads(Opts.NumThreads, Pending.size()); N > 1)
+      Pool = std::make_shared<ThreadPool>(N);
+  }
+  if (!Pool) {
+    for (size_t I = 0; I != Pending.size(); ++I)
+      Run(I);
+  } else {
+    std::vector<std::future<void>> Done;
+    Done.reserve(Pending.size());
+    for (size_t I = 0; I != Pending.size(); ++I)
+      Done.push_back(Pool->submit([&Run, I] { Run(I); }));
+    for (std::future<void> &F : Done)
+      F.wait();
+  }
   if (Opts.Journal)
     Cache->setObserver({});
   return Results;

@@ -85,8 +85,10 @@ struct DseServer::Pending {
 DseServer::DseServer(ServeOptions O) : Opts(std::move(O)) {
   Cache = std::make_shared<EstimateCache>();
   StageCache = std::make_shared<TransformStageCache>();
-  if (Opts.NumThreads > 1)
-    Pool = std::make_shared<ThreadPool>(Opts.NumThreads);
+  // Sized for the largest batch the worker coalesces; no pool when every
+  // batch would run inline anyway.
+  if (unsigned N = batchThreads(Opts.NumThreads, Opts.MaxBatch); N > 1)
+    Pool = std::make_shared<ThreadPool>(N);
   if (Opts.BreakerThreshold > 0) {
     CircuitBreakerOptions B;
     B.FailureThreshold = Opts.BreakerThreshold;
@@ -440,12 +442,7 @@ void DseServer::runBatch(std::vector<std::shared_ptr<Pending>> Batch) {
   InFlight.store(Live.size());
 
   BatchOptions B;
-  B.NumThreads = std::min<unsigned>(std::max(1u, Opts.NumThreads),
-                                    static_cast<unsigned>(Live.size()));
-  // A lone job runs inline on this worker: handing it to the pool would
-  // only add a thread handoff (two wakeups) to its latency.
-  if (Live.size() > 1)
-    B.Pool = Pool;
+  B.Pool = Pool;
   B.Cache = Cache;
   B.Journal = Journal;
   B.Breakers = Breakers;

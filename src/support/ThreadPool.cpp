@@ -8,7 +8,22 @@
 
 #include <algorithm>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 using namespace defacto;
+
+unsigned defacto::availableCores() {
+#if defined(__linux__)
+  cpu_set_t Set;
+  CPU_ZERO(&Set);
+  if (sched_getaffinity(0, sizeof(Set), &Set) == 0)
+    if (int N = CPU_COUNT(&Set); N > 0)
+      return static_cast<unsigned>(N);
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 ThreadPool::ThreadPool(unsigned NumThreads) {
   NumThreads = std::max(1u, NumThreads);

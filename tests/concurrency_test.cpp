@@ -17,9 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 using namespace defacto;
 
@@ -88,6 +93,34 @@ TEST(ThreadPool, ZeroThreadsClampsToOne) {
   EXPECT_EQ(Pool.size(), 1u);
   EXPECT_EQ(Pool.async([] { return 7; }).get(), 7);
 }
+
+TEST(ThreadPool, AvailableCoresIsWithinTheMachine) {
+  unsigned Cores = availableCores();
+  EXPECT_GE(Cores, 1u);
+  EXPECT_LE(Cores, std::max(1u, std::thread::hardware_concurrency()));
+}
+
+#if defined(__linux__)
+TEST(ThreadPool, AvailableCoresFollowsTheAffinityMask) {
+  // A thread pinned to one CPU sees one core: the count comes from the
+  // affinity mask, not from the machine.
+  bool Pinned = false;
+  unsigned Seen = 0;
+  std::thread([&Pinned, &Seen] {
+    int Cpu = sched_getcpu();
+    if (Cpu < 0)
+      return;
+    cpu_set_t One;
+    CPU_ZERO(&One);
+    CPU_SET(Cpu, &One);
+    Pinned = sched_setaffinity(0, sizeof(One), &One) == 0;
+    Seen = availableCores();
+  }).join();
+  if (!Pinned)
+    GTEST_SKIP() << "cannot change this thread's CPU affinity";
+  EXPECT_EQ(Seen, 1u);
+}
+#endif
 
 TEST(EstimateCache, FulfillThenHit) {
   EstimateCache Cache;

@@ -20,6 +20,7 @@
 #include "defacto/Kernels/Kernels.h"
 #include "defacto/Support/Random.h"
 #include "defacto/Support/Stats.h"
+#include "defacto/Support/Trace.h"
 
 #include <atomic>
 #include <gtest/gtest.h>
@@ -213,6 +214,56 @@ TEST(BatchExplorer, MatchesIndividualSequentialRuns) {
     EXPECT_EQ(Results[I].Name, Spec.Name); // submission order preserved
     expectIdentical(runSequential(buildKernel(Spec.Name), {}),
                     Results[I].Result);
+  }
+}
+
+TEST(BatchExplorer, LoneJobRunsInlineEvenWithAPool) {
+  auto Pool = std::make_shared<ThreadPool>(2);
+  BatchOptions Batch;
+  Batch.NumThreads = 2;
+  Batch.Pool = Pool;
+  BatchExplorer Engine(Batch);
+  Engine.addJob(buildKernel("FIR"), ExplorerOptions{});
+  std::vector<BatchResult> Results = Engine.runAll();
+
+  ASSERT_EQ(Results.size(), 1u);
+  EXPECT_EQ(Pool->tasksRun(), 0u);
+  expectIdentical(runSequential(buildKernel("FIR"), {}), Results[0].Result);
+}
+
+TEST(BatchExplorer, PoolIsCappedAtTheJobCount) {
+  EXPECT_EQ(batchThreads(8, 0), 1u);
+  EXPECT_EQ(batchThreads(8, 1), 1u);
+  EXPECT_EQ(batchThreads(8, 3), 3u);
+  EXPECT_EQ(batchThreads(2, 3), 2u);
+  EXPECT_EQ(batchThreads(0, 3), 1u);
+
+  // More threads than jobs changes no row and no decision: a 3-job batch
+  // asked for 8 threads answers as the sequential batch does.
+  auto Run = [](unsigned Threads) {
+    BatchOptions Batch;
+    Batch.NumThreads = Threads;
+    BatchExplorer Engine(Batch);
+    std::vector<std::shared_ptr<TraceRecorder>> Traces;
+    for (const char *Name : {"FIR", "MM", "SOBEL"}) {
+      ExplorerOptions Opts;
+      Opts.Trace = Traces.emplace_back(std::make_shared<TraceRecorder>());
+      Opts.Trace->setEnabled(true);
+      Engine.addJob(buildKernel(Name), std::move(Opts), "guided+tile");
+    }
+    return std::make_pair(Engine.runAll(), std::move(Traces));
+  };
+  auto [Sequential, SequentialTraces] = Run(1);
+  auto [Parallel, ParallelTraces] = Run(8);
+  ASSERT_EQ(Sequential.size(), 3u);
+  ASSERT_EQ(Parallel.size(), 3u);
+  for (size_t I = 0; I != 3; ++I) {
+    SCOPED_TRACE(Sequential[I].Name);
+    EXPECT_EQ(Sequential[I].Name, Parallel[I].Name);
+    expectIdentical(Sequential[I].Result, Parallel[I].Result);
+    EXPECT_FALSE(SequentialTraces[I]->decisionDigest().empty());
+    EXPECT_EQ(SequentialTraces[I]->decisionDigest(),
+              ParallelTraces[I]->decisionDigest());
   }
 }
 
