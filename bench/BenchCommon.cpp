@@ -7,11 +7,13 @@
 #include "BenchCommon.h"
 
 #include "defacto/Support/CommandLine.h"
+#include "defacto/Support/Histogram.h"
 #include "defacto/Support/MathExtras.h"
 #include "defacto/Support/Table.h"
 #include "defacto/Transforms/PassRegistry.h"
 
 #include <cstdio>
+#include <sstream>
 
 using namespace defacto;
 
@@ -49,6 +51,24 @@ bench::ObservabilityFlags defacto::bench::parseObservabilityFlags(int &Argc,
 bool defacto::bench::finishObservability(const ObservabilityFlags &Flags) {
   return cl::finishObservability(
       {Flags.TraceOutPath, Flags.Stats, Flags.StatsOutPath});
+}
+
+std::string defacto::bench::phaseTimingsJson() {
+  std::ostringstream OS;
+  OS.precision(3);
+  OS << std::fixed << '{';
+  const char *Sep = "";
+  for (const HistogramSnapshot &S : HistogramRegistry::global().snapshot()) {
+    std::string Phase = spanPhase(S.Name);
+    if (Phase.empty())
+      continue;
+    OS << Sep << '"' << Phase
+       << "\": {\"wall_ms\": " << static_cast<double>(S.Sum) / 1e3
+       << ", \"count\": " << S.Count << '}';
+    Sep = ", ";
+  }
+  OS << '}';
+  return OS.str();
 }
 
 int defacto::bench::runFigureSweep(const std::string &FigureName,

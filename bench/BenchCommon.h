@@ -54,10 +54,10 @@ std::string parsePipelineFlag(int Argc, char **Argv);
 /// The common observability command line shared by the bench binaries:
 ///   --trace-out=PATH   write a Chrome trace_event file (chrome://tracing
 ///                      / Perfetto) of the run's decision/phase events
-///   --stats            print the counter registry and phase timings at
-///                      exit
-///   --stats-out=PATH   write counters + timers + histograms as one JSON
-///                      document at exit
+///   --stats            print the counter and histogram registries (phase
+///                      spans included) at exit
+///   --stats-out=PATH   write counters + histograms as one JSON document
+///                      at exit
 struct ObservabilityFlags {
   std::string TraceOutPath; // empty: tracing stays off
   bool Stats = false;
@@ -75,10 +75,15 @@ struct ObservabilityFlags {
 ObservabilityFlags parseObservabilityFlags(int &Argc, char **Argv);
 
 /// Finishes an observed run: writes the Chrome trace when a path was
-/// given, prints counters plus phase timings when --stats was, and writes
+/// given, prints counters plus histograms when --stats was, and writes
 /// the stats JSON file when --stats-out was. Returns false when an output
 /// file could not be written.
 bool finishObservability(const ObservabilityFlags &Flags);
+
+/// The "phase_timings_ms" block of a bench report, read from the phase
+/// spans (every "<phase>_us" histogram): {"<phase>": {"wall_ms": W,
+/// "count": N}, ...}, sorted by phase.
+std::string phaseTimingsJson();
 
 } // namespace bench
 } // namespace defacto

@@ -36,7 +36,7 @@
 #include "defacto/Core/Explorer.h"
 #include "defacto/Kernels/Kernels.h"
 #include "defacto/Support/Stats.h"
-#include "defacto/Support/Timer.h"
+#include "defacto/Support/Histogram.h"
 #include "defacto/Support/Trace.h"
 
 #include <benchmark/benchmark.h>
@@ -253,7 +253,7 @@ struct ObservedPass {
 ObservedPass runObservedPass() {
   StatRegistry::instance().setEnabled(true);
   TraceRecorder::global().setEnabled(true);
-  TimerGroup::global().reset();
+  HistogramRegistry::global().reset();
   auto Cache = std::make_shared<EstimateCache>();
   for (const KernelSpec &Spec : paperKernels()) {
     ExplorerOptions Opts;
@@ -264,7 +264,7 @@ ObservedPass runObservedPass() {
   }
   ObservedPass P;
   P.Cache = Cache->stats();
-  P.PhaseTimingsJson = TimerGroup::global().toJson();
+  P.PhaseTimingsJson = bench::phaseTimingsJson();
   P.TraceEvents = TraceRecorder::global().eventCount();
   return P;
 }
@@ -342,7 +342,7 @@ int main(int argc, char **argv) {
   // Peel --trace-out=/--stats first, then our --json flag, before
   // google-benchmark sees the argv.
   bench::ObservabilityFlags Obs = bench::parseObservabilityFlags(argc, argv);
-  // The timed benchmarks always run with recording off: counters, timers
+  // The timed benchmarks always run with recording off: counters, spans
   // and a trace of every iteration would measure the instrumentation.
   // The flags apply to the instrumented pass that follows the benchmarks.
   StatRegistry::instance().setEnabled(false);

@@ -34,8 +34,8 @@
 ///
 /// Writes BENCH_eval.json (override with --json=PATH): per-sweep
 /// evaluations/sec, the parity verdicts, the cold-sweep latency
-/// percentiles and the per-phase timer split (pipeline.clone/unroll/
-/// scalarrepl/..., estimator.dfg, scheduler.schedule).
+/// percentiles and the per-phase span totals (pipeline.clone,
+/// pipeline.pass.*, estimator.dfg, scheduler.schedule, ...).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +46,6 @@
 #include "defacto/Kernels/Kernels.h"
 #include "defacto/Support/Histogram.h"
 #include "defacto/Support/Stats.h"
-#include "defacto/Support/Timer.h"
 #include "defacto/Support/Trace.h"
 
 #include <chrono>
@@ -264,10 +263,9 @@ int main(int argc, char **argv) {
   LatencyPercentiles Lat;
   {
     StatRegistry::instance().setEnabled(true);
-    TimerGroup::global().reset();
     HistogramRegistry::global().reset();
     runSweep(K, 1, Pool, std::make_shared<TransformStageCache>());
-    Phases = TimerGroup::global().toJson();
+    Phases = bench::phaseTimingsJson();
     for (const HistogramSnapshot &S : HistogramRegistry::global().snapshot())
       if (S.Name == "eval.latency_us") {
         Lat.Count = S.Count;
@@ -276,7 +274,6 @@ int main(int argc, char **argv) {
         Lat.P99 = S.quantile(0.99);
         Lat.Max = S.Max;
       }
-    TimerGroup::global().reset();
     HistogramRegistry::global().reset();
     StatRegistry::instance().setEnabled(false);
   }

@@ -38,8 +38,8 @@
 /// each job twice to demonstrate cross-job cache reuse: the second copy
 /// costs zero estimator calls. --trace-out writes a Chrome trace_event
 /// file of every search decision (one track per job; load in
-/// chrome://tracing or Perfetto), --stats prints the counter registry and
-/// phase timings, and --explain renders the full exploration report per
+/// chrome://tracing or Perfetto), --stats prints the counter and
+/// histogram registries (phase spans included), and --explain renders the full exploration report per
 /// job (per-strategy sections for portfolio runs).
 ///
 /// Crash safety: --journal makes every completed evaluation durable
@@ -50,13 +50,13 @@
 /// (--breaker-cooldown tunes its open interval).
 ///
 /// Live telemetry (docs/OBSERVABILITY.md "Live metrics"): --metrics-out
-/// appends one JSONL snapshot of every counter, phase timer, latency
-/// histogram, and progress gauge per interval (write-then-rename, so
+/// appends one JSONL snapshot of every counter, histogram (phase spans
+/// included), and progress gauge per interval (write-then-rename, so
 /// `defacto_monitor` can tail it live), --metrics-interval-ms sets the
 /// sampling period (default 250), and --metrics-prom maintains an
 /// OpenMetrics/Prometheus text exposition of the latest snapshot.
-/// --stats-out writes the final counters + timers + histograms as one
-/// JSON document.
+/// --stats-out writes the final counters + histograms as one JSON
+/// document.
 ///
 /// All jobs share one transform-stage cache (docs/PERFORMANCE.md, "The
 /// evaluation route"); its hit statistics print under the table.
@@ -76,10 +76,10 @@
 #include "defacto/Kernels/Kernels.h"
 #include "defacto/Transforms/PassRegistry.h"
 #include "defacto/Support/CommandLine.h"
+#include "defacto/Support/Histogram.h"
 #include "defacto/Support/MetricsSampler.h"
 #include "defacto/Support/Stats.h"
 #include "defacto/Support/Table.h"
-#include "defacto/Support/Timer.h"
 #include "defacto/Support/Trace.h"
 
 #include <cstdio>
@@ -160,7 +160,7 @@ int main(int Argc, char **Argv) {
 
   bool Metrics = !MetricsOut.empty() || !MetricsProm.empty();
   // --explain renders the per-pass pipeline timing table, which needs the
-  // phase timers recording.
+  // phase spans recording.
   if (Stats || !StatsOut.empty() || Metrics || Explain)
     StatRegistry::instance().setEnabled(true);
   if (!TraceOut.empty()) {
@@ -361,7 +361,7 @@ int main(int Argc, char **Argv) {
 
   if (Stats) {
     std::printf("\n%s", StatRegistry::instance().toText().c_str());
-    std::printf("%s", TimerGroup::global().toText().c_str());
+    std::printf("%s", HistogramRegistry::global().toText().c_str());
   }
 
   if (!StatsOut.empty()) {

@@ -74,8 +74,9 @@ struct BatchOptions {
   /// Concurrent jobs. runAll() creates a pool of
   /// batchThreads(NumThreads, jobs) workers: a lone job, or NumThreads
   /// <= 1, runs on the calling thread (still sharing the cache across
-  /// jobs). Each job runs single-threaded inside its worker. The drivers
-  /// default this to availableCores().
+  /// jobs). Each job runs single-threaded inside its worker.
+  /// explore_batch defaults this to availableCores(); the daemon to
+  /// ServeOptions::NumThreads.
   unsigned NumThreads = 1;
   /// Pool to run a multi-job batch on, in place of the one runAll()
   /// would create (NumThreads is then ignored). A lone job never uses

@@ -31,9 +31,9 @@ struct ReportOptions {
   unsigned MaxVisitedRows = 24;
   /// Append the engine's raw textual walk trace verbatim.
   bool ShowWalkTrace = false;
-  /// Append the per-pass pipeline timing table (pipeline.pass.* phase
-  /// timers). The timers only accumulate while stats recording is
-  /// enabled, and they are process-wide — in a batch the table covers
+  /// Append the per-pass pipeline timing table (the pipeline.pass.*
+  /// spans). Spans only record while stats recording is enabled, and
+  /// they are process-wide — in a batch the table covers
   /// every job run so far, not just this result.
   bool ShowPassTimings = false;
 };

@@ -77,13 +77,16 @@ class MetricsSampler;
 struct ServeOptions {
   /// Filesystem path of the Unix-domain socket to listen on.
   std::string SocketPath;
-  /// Worker threads for coalesced batch runs (BatchOptions::NumThreads):
-  /// the CPUs this process may run on unless set. A batch of one request
-  /// runs inline on the batch worker; 1 runs every batch there.
-  unsigned NumThreads = availableCores();
+  /// Worker threads for coalesced batch runs (BatchOptions::NumThreads).
+  /// A batch of one request runs inline on the batch worker; 1 runs
+  /// every batch there. The default stays 2, not availableCores(): on a
+  /// shared 4-vCPU host a core-sized pool lost all 6 alternating
+  /// perfbench serve-warm pairs (p50 0.327 -> 0.369 ms, p90 0.52 -> 1.10
+  /// ms), and serve-cold stayed within noise.
+  unsigned NumThreads = 2;
   /// Admission bound: queued explore requests past this depth are
   /// answered "overloaded" immediately. 0 rejects everything (useful in
-  /// tests); the daemon default is 64.
+  /// tests).
   unsigned MaxQueueDepth = 64;
   /// Requests coalesced into one BatchExplorer run.
   unsigned MaxBatch = 8;

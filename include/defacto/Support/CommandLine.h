@@ -69,10 +69,10 @@ private:
 /// The observability flag set every driver shares:
 ///   --trace-out=PATH   write a Chrome trace_event file (chrome://tracing
 ///                      / Perfetto) of the run's decision/phase events
-///   --stats            print the counter registry and phase timings at
-///                      exit
-///   --stats-out=PATH   write counters + timers + histograms as one JSON
-///                      document at exit (machine-readable --stats)
+///   --stats            print the counter and histogram registries (phase
+///                      spans included) at exit
+///   --stats-out=PATH   write counters + histograms as one JSON document
+///                      at exit (machine-readable --stats)
 struct ObservabilityConfig {
   std::string TraceOutPath; // empty: tracing stays off
   bool Stats = false;
@@ -88,13 +88,13 @@ struct ObservabilityConfig {
 ObservabilityConfig consumeObservabilityFlags(ArgList &Args);
 
 /// Finishes an observed run: writes the Chrome trace when a path was
-/// given, prints counters plus phase timings when --stats was, and writes
+/// given, prints counters plus histograms when --stats was, and writes
 /// the stats JSON file when --stats-out was. Returns false when any
 /// output file could not be written.
 bool finishObservability(const ObservabilityConfig &Config);
 
-/// Writes {"counters": ..., "timers": ..., "histograms": ...} — the
-/// StatRegistry, TimerGroup, and HistogramRegistry JSON exports — to
+/// Writes {"version": 2, "counters": ..., "histograms": ...} — the
+/// StatRegistry and HistogramRegistry JSON exports — to
 /// \p Path (write-then-rename), validating the document with
 /// Support/Json first. Returns false on validation or I/O failure.
 bool writeStatsFile(const std::string &Path);

@@ -6,10 +6,12 @@
 ///
 /// \file
 /// Log-bucketed histograms for the exploration engine's live telemetry:
-/// per-evaluation latency, per-pipeline-stage latency, cache wait time,
-/// and estimate balance/cost distributions. Counters (Stats.h) answer
+/// the wall time of every instrumented phase (transform passes,
+/// estimator and scheduler calls, cache waits, whole explorations) and
+/// the estimate balance/cost distributions. Counters (Stats.h) answer
 /// "how many"; histograms answer "how long, and how bad is the tail" —
-/// the p99 evaluation stall a mean hides.
+/// the p99 evaluation stall a mean hides. A phase's count and sum are
+/// its scope count and total wall time.
 ///
 /// Like every observability primitive here, recording is gated on the
 /// StatRegistry enable bit and is **zero-cost while off**: a disabled
@@ -26,9 +28,12 @@
 ///   ...
 ///   EvalLatency.record(Micros);            // no-op unless recording is on
 ///
-/// or, for scopes:
+/// or, for scopes, the one span primitive:
 ///
-///   DEFACTO_SCOPED_HISTOGRAM_US("cache.wait_us");
+///   void schedule(...) {
+///     DEFACTO_SPAN("scheduler.schedule");  // records "scheduler.schedule_us"
+///     ...
+///   }
 ///
 /// Snapshots are mergeable (bucket-wise addition), and quantiles are
 /// deterministic functions of the bucket counts: two runs recording the
@@ -139,9 +144,8 @@ private:
   std::atomic<uint64_t> Buckets[NumBuckets] = {};
 };
 
-/// Process-wide registry of named histograms, mirroring TimerGroup: a
-/// histogram is created on first use and its reference stays valid for
-/// the registry's lifetime.
+/// Process-wide registry of named histograms: a histogram is created on
+/// first use and its reference stays valid for the registry's lifetime.
 class HistogramRegistry {
 public:
   static HistogramRegistry &global();
@@ -160,40 +164,61 @@ public:
   /// "p90": ..., "p99": ...}, ...}.
   std::string toJson() const;
 
+  /// "name: N recorded, sum S, mean M, p50 A, p90 B, p99 C, max D"
+  /// lines, one per non-empty histogram (the --stats text).
+  std::string toText() const;
+
 private:
   HistogramRegistry() = default;
   mutable std::mutex M;
   std::map<std::string, std::unique_ptr<Histogram>> Histograms;
 };
 
-/// RAII scope recording its wall duration, in microseconds, into a
-/// histogram. Disabled recording skips the clock reads entirely.
-class ScopedHistogramTimer {
-public:
-  explicit ScopedHistogramTimer(Histogram &H);
-  ~ScopedHistogramTimer();
+/// The phase a DEFACTO_SPAN histogram times: "x" for the histogram
+/// "x_us", empty for a histogram without that suffix.
+std::string spanPhase(const std::string &HistogramName);
 
-  ScopedHistogramTimer(const ScopedHistogramTimer &) = delete;
-  ScopedHistogramTimer &operator=(const ScopedHistogramTimer &) = delete;
+/// RAII scope recording its wall time, rounded to the nearest
+/// microsecond, into a histogram. While recording is disabled the
+/// constructor is one relaxed load and a branch: no clock reads.
+class ScopedSpan {
+public:
+  explicit ScopedSpan(Histogram &Hist) {
+    if (!statsEnabled())
+      return;
+    H = &Hist;
+    StartNs = nowNs();
+  }
+  ~ScopedSpan() {
+    if (H)
+      H->record(toMicros(nowNs() - StartNs));
+  }
+
+  ScopedSpan(const ScopedSpan &) = delete;
+  ScopedSpan &operator=(const ScopedSpan &) = delete;
+
+  /// \p Ns in microseconds, rounded to nearest (half up).
+  static uint64_t toMicros(uint64_t Ns) { return (Ns + 500) / 1000; }
 
 private:
-  Histogram *H = nullptr; // null while recording is disabled
+  static uint64_t nowNs(); // steady clock
+  Histogram *H = nullptr;  // null while recording is disabled
   uint64_t StartNs = 0;
 };
 
 } // namespace defacto
 
-#define DEFACTO_HISTOGRAM_CONCAT2(A, B) A##B
-#define DEFACTO_HISTOGRAM_CONCAT(A, B) DEFACTO_HISTOGRAM_CONCAT2(A, B)
+#define DEFACTO_SPAN_CONCAT2(A, B) A##B
+#define DEFACTO_SPAN_CONCAT(A, B) DEFACTO_SPAN_CONCAT2(A, B)
 
-/// Records the enclosing scope's wall time (µs) into the global
-/// histogram \p NameStr. The histogram is resolved once.
-#define DEFACTO_SCOPED_HISTOGRAM_US(NameStr)                                 \
-  static ::defacto::Histogram &DEFACTO_HISTOGRAM_CONCAT(                     \
-      DefactoHistogram_, __LINE__) =                                         \
-      ::defacto::HistogramRegistry::global().histogram(NameStr);             \
-  ::defacto::ScopedHistogramTimer DEFACTO_HISTOGRAM_CONCAT(                  \
-      DefactoScopedHistogram_, __LINE__)(                                    \
-      DEFACTO_HISTOGRAM_CONCAT(DefactoHistogram_, __LINE__))
+/// Records the enclosing scope's wall time into the global histogram
+/// \p NameStr "_us" (a string literal; the suffix is appended here so a
+/// site has exactly one name). The histogram is resolved once.
+#define DEFACTO_SPAN(NameStr)                                                \
+  static ::defacto::Histogram &DEFACTO_SPAN_CONCAT(DefactoSpanHistogram_,    \
+                                                   __LINE__) =               \
+      ::defacto::HistogramRegistry::global().histogram(NameStr "_us");       \
+  ::defacto::ScopedSpan DEFACTO_SPAN_CONCAT(DefactoSpan_, __LINE__)(         \
+      DEFACTO_SPAN_CONCAT(DefactoSpanHistogram_, __LINE__))
 
 #endif // DEFACTO_SUPPORT_HISTOGRAM_H

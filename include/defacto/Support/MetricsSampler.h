@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The live-telemetry sampler: periodically snapshots every observability
-/// surface — StatRegistry counters, TimerGroup phase totals,
-/// HistogramRegistry distributions, plus caller-registered gauges (queue
+/// surface — StatRegistry counters, HistogramRegistry distributions
+/// (phase spans included), plus caller-registered gauges (queue
 /// depth, in-flight evaluations, frontier size, breaker states, job
 /// progress) — and appends each snapshot as one JSONL line, flushed with
 /// the journal's write-then-rename idiom so a tailing reader
@@ -88,7 +88,7 @@ struct MetricsSample {
   std::string Prom;
 };
 
-/// Periodic snapshotter of counters + timers + histograms + gauges.
+/// Periodic snapshotter of counters + histograms + gauges.
 /// Thread-safe: sampleOnce() serializes against the background thread.
 class MetricsSampler {
 public:

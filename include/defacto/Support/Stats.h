@@ -20,8 +20,8 @@
 ///   ...
 ///   ++NumCacheHits;          // no-op unless StatRegistry is enabled
 ///
-/// The registry's enable bit also gates the phase timers (Timer.h): one
-/// switch turns the whole counter/timer surface on for a run.
+/// The registry's enable bit also gates the histograms and phase spans
+/// (Histogram.h): one switch turns the whole metric surface on for a run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,12 +37,12 @@
 namespace defacto {
 
 namespace detail {
-/// The registry enable bit, read on every counter/timer hot path. Only
+/// The registry enable bit, read on every counter/histogram hot path. Only
 /// StatRegistry::setEnabled writes it.
 extern std::atomic<bool> StatsEnabledFlag;
 } // namespace detail
 
-/// True when counters and phase timers are recording.
+/// True when counters, histograms and phase spans are recording.
 inline bool statsEnabled() {
   return detail::StatsEnabledFlag.load(std::memory_order_relaxed);
 }
@@ -99,12 +99,12 @@ struct StatSnapshot {
 };
 
 /// Process-wide set of every Statistic, plus the enable bit shared with
-/// the phase timers.
+/// the histograms.
 class StatRegistry {
 public:
   static StatRegistry &instance();
 
-  /// Turns counter and timer recording on or off. Counters keep their
+  /// Turns counter and histogram recording on or off. Counters keep their
   /// values across a disable; reset() zeroes them.
   void setEnabled(bool On) {
     detail::StatsEnabledFlag.store(On, std::memory_order_relaxed);

@@ -15,10 +15,10 @@
 /// passes; PassRegistry.h maps their textual names to factories and
 /// parses `--pipeline=` strings into PassPipelines.
 ///
-/// Timing convention: every pass charges itself to the
-/// `pipeline.pass.<name>` phase timer and the `pipeline.pass.<name>_us`
-/// histogram inside its own run() (function-local static resolution, the
-/// repo-wide zero-cost-while-off idiom).
+/// Timing convention: every pass opens the `DEFACTO_SPAN`
+/// `pipeline.pass.<name>` (histogram `pipeline.pass.<name>_us`) inside
+/// its own run() (function-local static resolution, the repo-wide
+/// zero-cost-while-off idiom).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +48,7 @@ public:
   virtual ~TransformPass();
 
   /// The registry name ("normalize", "unroll", ...), also the suffix of
-  /// the pass's pipeline.pass.<name> timer.
+  /// the pass's pipeline.pass.<name> span.
   virtual std::string name() const = 0;
 
   /// Runs the transformation on \p K. \p AM serves cached analyses of the

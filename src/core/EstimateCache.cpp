@@ -8,7 +8,6 @@
 
 #include "defacto/Support/Histogram.h"
 #include "defacto/Support/Stats.h"
-#include "defacto/Support/Timer.h"
 
 #include <algorithm>
 #include <sstream>
@@ -145,8 +144,7 @@ EstimateCache::lookupOrBegin(const std::string &Key, Outcome *Served) {
   if (Served)
     *Served = Outcome::Wait;
   Result R = [&] {
-    DEFACTO_SCOPED_TIMER("cache.shard_wait");
-    DEFACTO_SCOPED_HISTOGRAM_US("cache.wait_us");
+    DEFACTO_SPAN("cache.wait");
     return Pending.get();
   }();
   if (!R.ok()) {

@@ -15,7 +15,6 @@
 #include "defacto/Support/MathExtras.h"
 #include "defacto/Support/Stats.h"
 #include "defacto/Support/Table.h"
-#include "defacto/Support/Timer.h"
 
 #include <algorithm>
 #include <chrono>
@@ -215,7 +214,7 @@ EvaluationService::invokeBackend(const Kernel &K, const DesignPoint &P,
                                std::to_string(Est.Cycles) + ")");
     return Est;
   };
-  DEFACTO_SCOPED_TIMER("estimator.invoke");
+  DEFACTO_SPAN("estimator.invoke");
   if (Opts.WatchdogSeconds <= 0)
     return Call();
   CancellationToken Watchdog = CancellationToken::withDeadline(
@@ -314,7 +313,7 @@ EvaluationService::computeRaw(const DesignPoint &P) const {
 
   InFlightEvals.fetch_add(1, std::memory_order_relaxed);
   Expected<SynthesisEstimate> Est = [&] {
-    DEFACTO_SCOPED_HISTOGRAM_US("eval.latency_us");
+    DEFACTO_SPAN("eval.latency");
     return computeEstimate(P);
   }();
   InFlightEvals.fetch_sub(1, std::memory_order_relaxed);

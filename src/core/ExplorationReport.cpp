@@ -6,8 +6,8 @@
 
 #include "defacto/Core/ExplorationReport.h"
 
+#include "defacto/Support/Histogram.h"
 #include "defacto/Support/Table.h"
-#include "defacto/Support/Timer.h"
 
 #include <sstream>
 
@@ -181,20 +181,18 @@ std::string defacto::renderExplorationReport(const ExplorationResult &R,
   }
 
   // Per-pass pipeline timing, when the run recorded any (stats enabled
-  // and the pipeline.pass.* timers fired). Process-wide accumulation, so
+  // and the pipeline.pass.* spans fired). Process-wide accumulation, so
   // in a batch the numbers cover every job rendered so far.
   if (Opts.ShowPassTimings) {
-    std::vector<TimerGroup::Snapshot> Timers = TimerGroup::global().snapshot();
     Table T({"pass", "wall ms", "runs", "mean us"});
     const std::string Prefix = "pipeline.pass.";
-    for (const TimerGroup::Snapshot &S : Timers) {
-      if (S.Name.rfind(Prefix, 0) != 0 || S.Count == 0)
+    for (const HistogramSnapshot &S : HistogramRegistry::global().snapshot()) {
+      std::string Phase = spanPhase(S.Name);
+      if (Phase.rfind(Prefix, 0) != 0)
         continue;
-      T.addRow({S.Name.substr(Prefix.size()), formatDouble(S.WallMs, 2),
-                std::to_string(S.Count),
-                formatDouble(S.WallMs * 1000.0 /
-                                 static_cast<double>(S.Count),
-                             1)});
+      T.addRow({Phase.substr(Prefix.size()),
+                formatDouble(static_cast<double>(S.Sum) / 1000.0, 2),
+                std::to_string(S.Count), formatDouble(S.mean(), 1)});
     }
     if (T.numRows() != 0)
       OS << "Pass pipeline timing (process-wide):\n" << T.toString(2);

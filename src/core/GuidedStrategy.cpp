@@ -13,10 +13,10 @@
 
 #include "defacto/Core/SearchStrategy.h"
 
+#include "defacto/Support/Histogram.h"
 #include "defacto/Support/MathExtras.h"
 #include "defacto/Support/Stats.h"
 #include "defacto/Support/Table.h"
-#include "defacto/Support/Timer.h"
 
 #include <algorithm>
 #include <cmath>
@@ -142,7 +142,7 @@ ExplorationResult GuidedStrategy::search(const SearchContext &SC) {
   const UnrollSpace &Space = Eval.space();
   const SaturationInfo &Sat = Eval.saturation();
 
-  DEFACTO_SCOPED_TIMER("explore.run");
+  DEFACTO_SPAN("explore.run");
   TraceSpan RunSpan(Eval.recorder(), Eval.trackLabel(), "phase",
                     "explore.run");
   ++NumExplorations;

@@ -17,8 +17,8 @@
 
 #include "defacto/Core/SearchStrategy.h"
 
+#include "defacto/Support/Histogram.h"
 #include "defacto/Support/MathExtras.h"
-#include "defacto/Support/Timer.h"
 
 #include <algorithm>
 #include <set>
@@ -40,7 +40,7 @@ ExplorationResult HillClimbStrategy::search(const SearchContext &SC) {
   const ExplorerOptions &Opts = Eval.options();
   const UnrollSpace &Space = Eval.space();
 
-  DEFACTO_SCOPED_TIMER("explore.hillclimb");
+  DEFACTO_SPAN("explore.hillclimb");
   ExplorationResult Res;
   Res.Strategy = name();
   Res.Sat = Eval.saturation();

@@ -17,8 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "defacto/Core/SearchStrategy.h"
-
-#include "defacto/Support/Timer.h"
+#include "defacto/Support/Histogram.h"
 
 #include <algorithm>
 
@@ -44,7 +43,7 @@ private:
 
 ExplorationResult PortfolioStrategy::search(const SearchContext &SC) {
   EvaluationService &Eval = SC.Eval;
-  DEFACTO_SCOPED_TIMER("explore.portfolio");
+  DEFACTO_SPAN("explore.portfolio");
   ExplorationResult Res;
   Res.Strategy = name();
   Res.Sat = Eval.saturation();

@@ -12,7 +12,6 @@
 #include "defacto/Support/Arena.h"
 #include "defacto/Support/Histogram.h"
 #include "defacto/Support/Stats.h"
-#include "defacto/Support/Timer.h"
 #include "defacto/Transforms/Normalize.h"
 #include "defacto/Transforms/Tiling.h"
 
@@ -102,8 +101,7 @@ TransformStageCache::lookupOrBegin(const std::string &Key, Outcome *Served,
   // In flight elsewhere: block outside the shard lock.
   if (Served)
     *Served = Outcome::Wait;
-  DEFACTO_SCOPED_TIMER("cache.stage_wait");
-  DEFACTO_SCOPED_HISTOGRAM_US("cache.stage_wait_us");
+  DEFACTO_SPAN("cache.stage_wait");
   return Pending.get();
 }
 
@@ -174,8 +172,7 @@ StagedPipeline::StagedPipeline(const PipelineContext &Ctx,
 TransformStageCache::EntryPtr
 StagedPipeline::buildStage(const TransformOptions &Opts,
                              const UnrollVector &Prefix) const {
-  DEFACTO_SCOPED_TIMER("pipeline.stage");
-  DEFACTO_SCOPED_HISTOGRAM_US("pipeline.stage_us");
+  DEFACTO_SPAN("pipeline.stage");
   // The snapshot is shared read-only across worker threads and must
   // survive every worker's arena resets: build it on the heap.
   IRArenaScope Suspend(nullptr);
@@ -301,7 +298,7 @@ TransformResult StagedPipeline::run(const TransformOptions &Opts,
                        std::move(FinalFound))) {
       if (Info)
         Info->FinalHit = true;
-      DEFACTO_SCOPED_TIMER("pipeline.clone");
+      DEFACTO_SPAN("pipeline.clone");
       return TransformResult(FE->Staged.clone());
     }
     // A null entry means the in-flight builder abandoned; build locally
@@ -309,11 +306,10 @@ TransformResult StagedPipeline::run(const TransformOptions &Opts,
   }
 
   TransformResult Result = [&] {
-    DEFACTO_SCOPED_TIMER("pipeline.run");
-    DEFACTO_SCOPED_HISTOGRAM_US("pipeline.run_us");
+    DEFACTO_SPAN("pipeline.run");
     std::optional<Kernel> K;
     {
-      DEFACTO_SCOPED_TIMER("pipeline.clone");
+      DEFACTO_SPAN("pipeline.clone");
       K.emplace(E->Staged.clone());
     }
     UnrollVector W(U.size(), 1);
@@ -321,13 +317,13 @@ TransformResult StagedPipeline::run(const TransformOptions &Opts,
       W[Outer] = U[Outer];
     bool UnrollApplied;
     {
-      DEFACTO_SCOPED_TIMER("pipeline.unroll");
+      DEFACTO_SPAN("pipeline.pass.unroll");
       UnrollApplied = unrollAndJam(*K, W);
     }
     {
       // The stage snapshot is already normalized, so this pass only
       // rewrites the one loop W touched.
-      DEFACTO_SCOPED_TIMER("pipeline.normalize");
+      DEFACTO_SPAN("pipeline.pass.normalize");
       normalizeLoops(*K);
     }
     return finishPipeline(std::move(*K), Opts, Ctx.normalized(),

@@ -11,8 +11,8 @@
 #include "defacto/IR/IRVerifier.h"
 #include "defacto/Support/Cancellation.h"
 #include "defacto/Support/ErrorHandling.h"
+#include "defacto/Support/Histogram.h"
 #include "defacto/Support/Table.h"
-#include "defacto/Support/Timer.h"
 
 #include <cmath>
 #include <cstring>
@@ -273,7 +273,7 @@ SegmentSchedule memoizedScheduleStructural(
     return It->second;
   SegmentSchedule Sched;
   {
-    DEFACTO_SCOPED_TIMER("estimator.dfg");
+    DEFACTO_SPAN("estimator.dfg");
     DFG Graph = buildSegmentDFG(Segment, PortOf, WidthOf);
     Sched = scheduleSegment(Graph, P);
   }
@@ -366,7 +366,7 @@ private:
       } else {
         std::optional<DFG> Graph;
         {
-          DEFACTO_SCOPED_TIMER("estimator.dfg");
+          DEFACTO_SPAN("estimator.dfg");
           Graph.emplace(buildSegmentDFG(Segment, PortFn, WidthOf));
         }
         Sched = memoizedScheduleSegment(*Graph, P);
@@ -423,7 +423,7 @@ private:
 SynthesisEstimate
 defacto::estimateDesign(const Kernel &K, const TargetPlatform &Platform,
                         std::vector<RegionReport> *Breakdown) {
-  DEFACTO_SCOPED_TIMER("estimator.estimate");
+  DEFACTO_SPAN("estimator.estimate");
   if (Breakdown)
     Breakdown->clear();
   Totals T = EstimatorWalk(K, Platform, Breakdown).run();

@@ -7,7 +7,7 @@
 #include "defacto/HLS/Scheduler.h"
 
 #include "defacto/Support/Cancellation.h"
-#include "defacto/Support/Timer.h"
+#include "defacto/Support/Histogram.h"
 
 #include <algorithm>
 #include <cmath>
@@ -105,7 +105,7 @@ SegmentSchedule defacto::scheduleSegment(const DFG &Graph,
 DetailedSchedule
 defacto::scheduleSegmentDetailed(const DFG &Graph,
                                  const TargetPlatform &Platform) {
-  DEFACTO_SCOPED_TIMER("scheduler.schedule");
+  DEFACTO_SPAN("scheduler.schedule");
   DetailedSchedule Detailed;
   SegmentSchedule &Out = Detailed.Summary;
   if (Graph.Nodes.empty())

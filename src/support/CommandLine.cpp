@@ -9,7 +9,6 @@
 #include "defacto/Support/Histogram.h"
 #include "defacto/Support/Json.h"
 #include "defacto/Support/Stats.h"
-#include "defacto/Support/Timer.h"
 #include "defacto/Support/Trace.h"
 
 #include <cstdio>
@@ -112,9 +111,8 @@ ObservabilityConfig defacto::cl::consumeObservabilityFlags(ArgList &Args) {
 }
 
 bool defacto::cl::writeStatsFile(const std::string &Path) {
-  std::string Doc = "{\"counters\": " + StatRegistry::instance().toJson() +
-                    ", \"timers\": " + TimerGroup::global().toJson() +
-                    ", \"histograms\": " +
+  std::string Doc = "{\"version\": 2, \"counters\": " +
+                    StatRegistry::instance().toJson() + ", \"histograms\": " +
                     HistogramRegistry::global().toJson() + "}\n";
   std::string Error;
   if (!isValidJson(Doc, &Error)) {
@@ -163,7 +161,7 @@ bool defacto::cl::finishObservability(const ObservabilityConfig &Config) {
   }
   if (Config.Stats) {
     std::printf("%s", StatRegistry::instance().toText().c_str());
-    std::printf("%s", TimerGroup::global().toText().c_str());
+    std::printf("%s", HistogramRegistry::global().toText().c_str());
   }
   if (!Config.StatsOutPath.empty()) {
     if (writeStatsFile(Config.StatsOutPath))

@@ -129,22 +129,28 @@ std::string HistogramRegistry::toJson() const {
   return OS.str();
 }
 
-ScopedHistogramTimer::ScopedHistogramTimer(Histogram &Hist) {
-  if (!statsEnabled())
-    return;
-  H = &Hist;
-  StartNs = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+std::string HistogramRegistry::toText() const {
+  std::ostringstream OS;
+  OS.precision(1);
+  OS << std::fixed;
+  for (const HistogramSnapshot &S : snapshot())
+    OS << S.Name << ": " << S.Count << " recorded, sum " << S.Sum
+       << ", mean " << S.mean() << ", p50 " << S.quantile(0.5) << ", p90 "
+       << S.quantile(0.9) << ", p99 " << S.quantile(0.99) << ", max "
+       << S.Max << '\n';
+  return OS.str();
 }
 
-ScopedHistogramTimer::~ScopedHistogramTimer() {
-  if (!H)
-    return;
-  uint64_t EndNs = static_cast<uint64_t>(
+std::string defacto::spanPhase(const std::string &HistogramName) {
+  const std::string Suffix = "_us";
+  if (!HistogramName.ends_with(Suffix))
+    return "";
+  return HistogramName.substr(0, HistogramName.size() - Suffix.size());
+}
+
+uint64_t ScopedSpan::nowNs() {
+  return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-  H->record((EndNs - StartNs) / 1000);
 }

@@ -9,7 +9,6 @@
 #include "defacto/Support/Histogram.h"
 #include "defacto/Support/Json.h"
 #include "defacto/Support/OpenMetrics.h"
-#include "defacto/Support/Timer.h"
 
 #include <chrono>
 #include <cmath>
@@ -124,10 +123,8 @@ MetricsSample MetricsSampler::sampleLocked(bool Final) {
   // toJson() documents, so the final line agrees byte-for-byte with the
   // end-of-run --stats output.
   std::string CountersJson = StatRegistry::instance().toJson();
-  std::string TimersJson = TimerGroup::global().toJson();
   std::string HistsJson = HistogramRegistry::global().toJson();
   std::vector<StatSnapshot> Counters = StatRegistry::instance().snapshot();
-  std::vector<TimerGroup::Snapshot> Timers = TimerGroup::global().snapshot();
   std::vector<HistogramSnapshot> Hists = HistogramRegistry::global().snapshot();
 
   auto counterValue = [&](const std::string &Group, const std::string &Name) {
@@ -178,9 +175,10 @@ MetricsSample MetricsSampler::sampleLocked(bool Final) {
   // JSONL line.
   {
     std::ostringstream OS;
-    OS << "{\"seq\": " << S.Seq << ", \"t\": " << jsonNumber(S.Time)
+    OS << "{\"version\": 2, \"seq\": " << S.Seq
+       << ", \"t\": " << jsonNumber(S.Time)
        << ", \"final\": " << (Final ? "true" : "false")
-       << ", \"counters\": " << CountersJson << ", \"timers\": " << TimersJson
+       << ", \"counters\": " << CountersJson
        << ", \"histograms\": " << HistsJson << ", \"gauges\": {";
     bool First = true;
     for (const auto &[Name, V] : GaugeValues) {
@@ -205,17 +203,6 @@ MetricsSample MetricsSampler::sampleLocked(bool Final) {
       std::string Family = openMetricsName("defacto_" + C.Group + "_" + C.Name);
       W.family(Family, "counter", C.Description);
       W.sample(Family + "_total", static_cast<double>(C.Value));
-    }
-    if (!Timers.empty()) {
-      W.family("defacto_phase_wall_ms", "gauge",
-               "accumulated wall time per phase timer");
-      for (const TimerGroup::Snapshot &T : Timers)
-        W.sample("defacto_phase_wall_ms", T.WallMs, {{"phase", T.Name}});
-      W.family("defacto_phase_count", "gauge",
-               "scope count per phase timer");
-      for (const TimerGroup::Snapshot &T : Timers)
-        W.sample("defacto_phase_count", static_cast<double>(T.Count),
-                 {{"phase", T.Name}});
     }
     for (const HistogramSnapshot &H : Hists) {
       std::string Family = openMetricsName("defacto_" + H.Name);

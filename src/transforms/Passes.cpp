@@ -9,7 +9,6 @@
 #include "defacto/Analysis/AnalysisManager.h"
 #include "defacto/IR/IRUtils.h"
 #include "defacto/Support/Histogram.h"
-#include "defacto/Support/Timer.h"
 #include "defacto/Transforms/ConstantFolding.h"
 #include "defacto/Transforms/Interchange.h"
 #include "defacto/Transforms/Normalize.h"
@@ -56,7 +55,7 @@ const char *defacto::defaultPipelineTextWithInterchange() {
 //===----------------------------------------------------------------------===//
 // The eight built-in passes. Each mirrors the historical hardcoded
 // pipeline stage bit for bit (pipeline_parity_test holds the line) and
-// charges itself to its pipeline.pass.<name> timer/histogram.
+// charges itself to its pipeline.pass.<name> span.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -65,8 +64,7 @@ class NormalizePass : public TransformPass {
 public:
   std::string name() const override { return "normalize"; }
   Status run(Kernel &K, AnalysisManager &) override {
-    DEFACTO_SCOPED_TIMER("pipeline.pass.normalize");
-    DEFACTO_SCOPED_HISTOGRAM_US("pipeline.pass.normalize_us");
+    DEFACTO_SPAN("pipeline.pass.normalize");
     normalizeLoops(K);
     return Status::ok();
   }
@@ -82,8 +80,7 @@ public:
   Status run(Kernel &K, AnalysisManager &) override {
     if (!Opts.StripMine)
       return Status::ok();
-    DEFACTO_SCOPED_TIMER("pipeline.pass.stripmine");
-    DEFACTO_SCOPED_HISTOGRAM_US("pipeline.pass.stripmine_us");
+    DEFACTO_SPAN("pipeline.pass.stripmine");
     if (ForStmt *Top = K.topLoop()) {
       std::vector<ForStmt *> Nest = perfectNest(Top);
       unsigned Pos = Opts.StripMine->first;
@@ -103,8 +100,7 @@ public:
       : Opts(Opts), Result(Result) {}
   std::string name() const override { return "unroll"; }
   Status run(Kernel &K, AnalysisManager &) override {
-    DEFACTO_SCOPED_TIMER("pipeline.pass.unroll");
-    DEFACTO_SCOPED_HISTOGRAM_US("pipeline.pass.unroll_us");
+    DEFACTO_SPAN("pipeline.pass.unroll");
     Result.UnrollApplied = unrollAndJam(K, Opts.Unroll);
     return Status::ok();
   }
@@ -125,8 +121,7 @@ public:
     const std::vector<unsigned> &Perm = Opts.Interchange;
     if (Perm.empty())
       return Status::ok();
-    DEFACTO_SCOPED_TIMER("pipeline.pass.interchange");
-    DEFACTO_SCOPED_HISTOGRAM_US("pipeline.pass.interchange_us");
+    DEFACTO_SPAN("pipeline.pass.interchange");
     ForStmt *Top = K.topLoop();
     if (!Top)
       return Status::error(ErrorCode::InvalidInput,
@@ -179,8 +174,7 @@ public:
   Status run(Kernel &K, AnalysisManager &) override {
     if (!Opts.EnableScalarReplacement)
       return Status::ok();
-    DEFACTO_SCOPED_TIMER("pipeline.pass.scalar-repl");
-    DEFACTO_SCOPED_HISTOGRAM_US("pipeline.pass.scalar-repl_us");
+    DEFACTO_SPAN("pipeline.pass.scalar-repl");
     Result.SR = scalarReplace(K, Opts.SR);
     return Status::ok();
   }
@@ -198,8 +192,7 @@ public:
   Status run(Kernel &K, AnalysisManager &) override {
     if (!Opts.EnablePeeling)
       return Status::ok();
-    DEFACTO_SCOPED_TIMER("pipeline.pass.peel");
-    DEFACTO_SCOPED_HISTOGRAM_US("pipeline.pass.peel_us");
+    DEFACTO_SPAN("pipeline.pass.peel");
     Result.Peeling = peelGuardedIterations(K);
     return Status::ok();
   }
@@ -213,8 +206,7 @@ class ConstantFoldingPass : public TransformPass {
 public:
   std::string name() const override { return "fold"; }
   Status run(Kernel &K, AnalysisManager &) override {
-    DEFACTO_SCOPED_TIMER("pipeline.pass.fold");
-    DEFACTO_SCOPED_HISTOGRAM_US("pipeline.pass.fold_us");
+    DEFACTO_SPAN("pipeline.pass.fold");
     foldConstants(K.body());
     return Status::ok();
   }
@@ -228,8 +220,7 @@ public:
   Status run(Kernel &K, AnalysisManager &) override {
     if (!Opts.EnableDataLayout)
       return Status::ok();
-    DEFACTO_SCOPED_TIMER("pipeline.pass.layout");
-    DEFACTO_SCOPED_HISTOGRAM_US("pipeline.pass.layout_us");
+    DEFACTO_SPAN("pipeline.pass.layout");
     Expected<DataLayoutStats> Layout = applyDataLayout(K, Opts.Layout);
     if (!Layout)
       return Layout.status();

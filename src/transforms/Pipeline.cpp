@@ -9,7 +9,6 @@
 #include "defacto/IR/IRUtils.h"
 #include "defacto/IR/IRVerifier.h"
 #include "defacto/Support/Histogram.h"
-#include "defacto/Support/Timer.h"
 #include "defacto/Transforms/Normalize.h"
 #include "defacto/Transforms/PassRegistry.h"
 
@@ -39,7 +38,7 @@ void runTextOn(const std::string &Text, const TransformOptions &Opts,
   if (SkipVerify)
     return;
 
-  DEFACTO_SCOPED_TIMER("pipeline.verify");
+  DEFACTO_SPAN("pipeline.verify");
   if (!isKernelValid(Result.K)) {
     Result.Error = Status::error(
         ErrorCode::MalformedIR,
@@ -54,8 +53,7 @@ void runTextOn(const std::string &Text, const TransformOptions &Opts,
 TransformResult runOnNormalized(Kernel Normalized,
                                 const TransformOptions &Opts,
                                 const Kernel &ErrorFallback) {
-  DEFACTO_SCOPED_TIMER("pipeline.run");
-  DEFACTO_SCOPED_HISTOGRAM_US("pipeline.run_us");
+  DEFACTO_SPAN("pipeline.run");
   TransformResult Result(std::move(Normalized));
   runTextOn(Opts.Pipeline, Opts, ErrorFallback, /*SkipVerify=*/false, Result);
   return Result;
@@ -104,7 +102,7 @@ TransformResult defacto::applyPipeline(const PipelineContext &Ctx,
                                        const TransformOptions &Opts) {
   std::optional<Kernel> Cloned;
   {
-    DEFACTO_SCOPED_TIMER("pipeline.clone");
+    DEFACTO_SPAN("pipeline.clone");
     Cloned.emplace(Ctx.normalized().clone());
   }
   TransformResult Result =

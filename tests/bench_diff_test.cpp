@@ -146,11 +146,11 @@ TEST(BenchDiff, MissingBaselineLatencySectionIsSkippedNotFatal) {
 }
 
 TEST(BenchDiff, UnmatchedSweepsShowDashesInsteadOfFailing) {
-  // The current report carries a (verify, 2) sweep the baseline lacks:
-  // its baseline columns render "-" and nothing regresses.
+  // The current report carries an (on-cold, 8) sweep the baseline
+  // lacks: its baseline columns render "-" and nothing regresses.
   ToolRun R = runBenchDiff("bench_base.json bench_mismatch.json");
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
-  EXPECT_NE(R.Output.find("verify"), std::string::npos) << R.Output;
+  EXPECT_NE(R.Output.find("on-cold  8"), std::string::npos) << R.Output;
   EXPECT_NE(R.Output.find('-'), std::string::npos) << R.Output;
   EXPECT_NE(R.Output.find("no evals/sec regression beyond 10%"),
             std::string::npos)

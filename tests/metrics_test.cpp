@@ -6,6 +6,8 @@
 ///
 /// The live-telemetry contract: the histogram bucket layout and quantile
 /// determinism (Support/Histogram.h), concurrent recording, the
+/// DEFACTO_SPAN phase primitive (gating, rounding, naming, and the staged
+/// route's per-pass spans), the
 /// MetricsSampler's JSONL/OpenMetrics output driven by a fake clock, the
 /// OpenMetrics validator itself, and end-to-end agreement — the final
 /// sample must report exactly what StatRegistry and EstimateCache::stats()
@@ -13,6 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "defacto/Core/ExplorationReport.h"
 #include "defacto/Core/Explorer.h"
 #include "defacto/Kernels/Kernels.h"
 #include "defacto/Support/CommandLine.h"
@@ -21,7 +24,6 @@
 #include "defacto/Support/MetricsSampler.h"
 #include "defacto/Support/OpenMetrics.h"
 #include "defacto/Support/Stats.h"
-#include "defacto/Support/Timer.h"
 
 #include "gtest/gtest.h"
 
@@ -182,15 +184,43 @@ TEST_F(MetricsTest, ConcurrentRecordingIsDeterministic) {
     EXPECT_EQ(C.quantile(Q), R.quantile(Q));
 }
 
-TEST_F(MetricsTest, ScopedTimerRecordsMicroseconds) {
+//===--------------------------------------------------------------===//
+// DEFACTO_SPAN.
+//===--------------------------------------------------------------===//
+
+TEST_F(MetricsTest, SpanRecordsMicrosecondsUnderItsUsName) {
   Histogram &H = HistogramRegistry::global().histogram("test.scope_us");
-  uint64_t Before = H.count();
   {
-    DEFACTO_SCOPED_HISTOGRAM_US("test.scope_us");
+    DEFACTO_SPAN("test.scope");
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(H.count(), Before + 1);
+  EXPECT_EQ(H.count(), 1u);
   EXPECT_GE(H.snapshot().Max, 1000u); // slept >= 1ms = 1000us
+  // The macro appends the suffix; nothing records under the bare name.
+  for (const HistogramSnapshot &S : HistogramRegistry::global().snapshot())
+    EXPECT_NE(S.Name, "test.scope");
+}
+
+TEST_F(MetricsTest, SpanRecordsOnlyWhileStatsAreOn) {
+  Histogram &H = HistogramRegistry::global().histogram("test.gated_us");
+  StatRegistry::instance().setEnabled(false);
+  { DEFACTO_SPAN("test.gated"); }
+  EXPECT_EQ(H.count(), 0u);
+
+  StatRegistry::instance().setEnabled(true);
+  { DEFACTO_SPAN("test.gated"); }
+  EXPECT_EQ(H.count(), 1u);
+
+  std::string Err;
+  EXPECT_TRUE(isValidJson(HistogramRegistry::global().toJson(), &Err)) << Err;
+}
+
+TEST_F(MetricsTest, SpanRoundsToTheNearestMicrosecond) {
+  EXPECT_EQ(ScopedSpan::toMicros(0), 0u);
+  EXPECT_EQ(ScopedSpan::toMicros(499), 0u);
+  EXPECT_EQ(ScopedSpan::toMicros(500), 1u);
+  EXPECT_EQ(ScopedSpan::toMicros(1499), 1u);
+  EXPECT_EQ(ScopedSpan::toMicros(1500), 2u);
 }
 
 //===--------------------------------------------------------------===//
@@ -287,9 +317,10 @@ TEST_F(MetricsTest, SampleOutputsParseClean) {
   const JsonValue *Gauges = Doc->find("gauges");
   ASSERT_NE(Gauges, nullptr);
   EXPECT_DOUBLE_EQ(Gauges->num("queue_depth"), 3.0);
+  EXPECT_EQ(Doc->uint("version"), 2u);
   ASSERT_NE(Doc->find("counters"), nullptr);
-  ASSERT_NE(Doc->find("timers"), nullptr);
   ASSERT_NE(Doc->find("histograms"), nullptr);
+  EXPECT_EQ(Doc->find("timers"), nullptr);
 }
 
 TEST_F(MetricsTest, SamplerWritesFilesAtomically) {
@@ -442,6 +473,21 @@ TEST_F(MetricsTest, FinalSampleAgreesWithRegistriesAfterExploration) {
   EXPECT_GT(RegistryCount, 0u);
 }
 
+TEST_F(MetricsTest, StagedRouteTimesUnrollAsAPass) {
+  // Every evaluation of a guided FIR walk unrolls one stage snapshot, and
+  // that scope must land in the pass's span, not a separate name.
+  ExplorationResult R = DesignSpaceExplorer(buildKernel("FIR"), {}).run();
+  ASSERT_GT(R.EvaluationsUsed, 0u);
+  EXPECT_GE(
+      HistogramRegistry::global().histogram("pipeline.pass.unroll_us").count(),
+      R.EvaluationsUsed);
+
+  ReportOptions Report;
+  Report.ShowPassTimings = true;
+  std::string Text = renderExplorationReport(R, "FIR", Report);
+  EXPECT_NE(Text.find("\n  unroll "), std::string::npos) << Text;
+}
+
 TEST_F(MetricsTest, WriteStatsFileRoundTrips) {
   HistogramRegistry::global().histogram("eval.latency_us").record(5);
   const std::string Path = tempPath("stats.json");
@@ -452,9 +498,10 @@ TEST_F(MetricsTest, WriteStatsFileRoundTrips) {
   Text << In.rdbuf();
   Expected<JsonValue> Doc = parseJson(Text.str());
   ASSERT_TRUE(Doc.hasValue());
+  EXPECT_EQ(Doc->uint("version"), 2u);
   EXPECT_NE(Doc->find("counters"), nullptr);
-  EXPECT_NE(Doc->find("timers"), nullptr);
   EXPECT_NE(Doc->find("histograms"), nullptr);
+  EXPECT_EQ(Doc->find("timers"), nullptr);
   std::remove(Path.c_str());
 }
 

@@ -16,9 +16,9 @@
 #include "defacto/Serve/Server.h"
 #include "defacto/Support/MetricsSampler.h"
 #include "defacto/Kernels/Kernels.h"
+#include "defacto/Support/Histogram.h"
 #include "defacto/Support/Json.h"
 #include "defacto/Support/Stats.h"
-#include "defacto/Support/Timer.h"
 #include "defacto/Transforms/UnrollAndJam.h"
 
 #include "gtest/gtest.h"
@@ -115,14 +115,15 @@ protected:
 //===----------------------------------------------------------------------===//
 
 TEST_F(ServeTest, RepeatRequestServedWarmAndBitIdentical) {
-  // Invocation counts of the two layers a warm request must skip; the
-  // phase timers count scopes only while stats recording is on.
+  // Invocation counts of the two layers a warm request must skip; their
+  // spans record only while stats recording is on.
   struct Recording {
     Recording() { StatRegistry::instance().setEnabled(true); }
     ~Recording() { StatRegistry::instance().setEnabled(false); }
   } StatsOn;
-  PhaseTimer &Estimator = TimerGroup::global().timer("estimator.invoke");
-  PhaseTimer &Pipeline = TimerGroup::global().timer("pipeline.run");
+  Histogram &Estimator =
+      HistogramRegistry::global().histogram("estimator.invoke_us");
+  Histogram &Pipeline = HistogramRegistry::global().histogram("pipeline.run_us");
 
   startServer({});
   uint64_t EstimatorBefore = Estimator.count();

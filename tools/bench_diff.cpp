@@ -8,9 +8,9 @@
 /// sweep: the baseline (usually the committed file) against a fresh run.
 /// Sweeps are matched on (mode, threads); the table shows evaluations
 /// per second and best wall time side by side with the percentage
-/// change. Fast-path speedups and the latency percentile section are
-/// compared when both reports carry them — either side may predate a
-/// schema addition, so missing sections are skipped, not errors.
+/// change. The evaluation-latency percentiles are compared when both
+/// reports carry them — either side may predate that section, so a
+/// missing one is skipped, not an error.
 ///
 ///   bench_diff BASELINE.json CURRENT.json [--threshold-pct=N]
 ///              [--fail-on-regression]
@@ -134,42 +134,24 @@ int main(int argc, char **argv) {
   std::printf("%s\n", Sweeps.toString(2).c_str());
 
   //===------------------------------------------------------------===//
-  // Fast-path speedups (informational; single-thread ratios).
-  //===------------------------------------------------------------===//
-  const JsonValue *BaseFp = Base.find("fastpath");
-  const JsonValue *CurFp = Cur.find("fastpath");
-  if (BaseFp && CurFp) {
-    Table Fp({"speedup vs off", "baseline", "current"});
-    Fp.addRow({"on-cold", formatDouble(BaseFp->num("speedup_cold"), 2) + "x",
-               formatDouble(CurFp->num("speedup_cold"), 2) + "x"});
-    Fp.addRow({"on (steady)",
-               formatDouble(BaseFp->num("speedup_steady"), 2) + "x",
-               formatDouble(CurFp->num("speedup_steady"), 2) + "x"});
-    std::printf("%s\n", Fp.toString(2).c_str());
-  }
-
-  //===------------------------------------------------------------===//
   // Evaluation latency percentiles, when both reports carry the
   // section (added after the first committed baselines).
   //===------------------------------------------------------------===//
   const JsonValue *BaseLat = Base.find("latency_percentiles");
   const JsonValue *CurLat = Cur.find("latency_percentiles");
   if (BaseLat && CurLat) {
-    Table Lat({"mode", "p50_us (base/cur)", "p95_us (base/cur)",
-               "p99_us (base/cur)"});
-    for (const char *Mode : {"off", "on"}) {
-      const JsonValue *B = BaseLat->find(Mode);
-      const JsonValue *C = CurLat->find(Mode);
-      if (!B || !C)
-        continue;
+    const JsonValue *B = BaseLat->find("on");
+    const JsonValue *C = CurLat->find("on");
+    if (B && C) {
       auto Cell = [&](const char *Key) {
         return formatDouble(B->num(Key), 0) + " / " +
                formatDouble(C->num(Key), 0);
       };
-      Lat.addRow({Mode, Cell("p50_us"), Cell("p95_us"), Cell("p99_us")});
-    }
-    if (Lat.numRows() > 0)
+      Table Lat({"mode", "p50_us (base/cur)", "p95_us (base/cur)",
+                 "p99_us (base/cur)"});
+      Lat.addRow({"on", Cell("p50_us"), Cell("p95_us"), Cell("p99_us")});
       std::printf("%s\n", Lat.toString(2).c_str());
+    }
   } else if (CurLat && !BaseLat) {
     std::printf("  (baseline has no latency_percentiles section; "
                 "skipping that comparison)\n\n");

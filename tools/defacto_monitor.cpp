@@ -28,6 +28,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "defacto/Support/CommandLine.h"
+#include "defacto/Support/Histogram.h"
 #include "defacto/Support/Json.h"
 #include "defacto/Support/Table.h"
 
@@ -141,22 +142,25 @@ std::string renderFrame(const JsonValue &Sample, const std::string &Path) {
     OS << Latency.toString(2) << "\n";
   }
 
-  // The heaviest phases, by cumulative wall time.
-  if (const JsonValue *Timers = Sample.find("timers");
-      Timers && Timers->isObject() && !Timers->Members.empty()) {
+  // The heaviest phases, by cumulative wall time: the phase spans'
+  // "<phase>_us" histograms, sorted by sum.
+  if (const JsonValue *Hists = Sample.find("histograms");
+      Hists && Hists->isObject()) {
     std::vector<std::pair<std::string, const JsonValue *>> Phases;
-    for (const auto &[Name, T] : Timers->Members)
-      Phases.emplace_back(Name, &T);
+    for (const auto &[Name, H] : Hists->Members)
+      if (std::string Phase = spanPhase(Name); !Phase.empty())
+        Phases.emplace_back(Phase, &H);
     std::sort(Phases.begin(), Phases.end(), [](const auto &A, const auto &B) {
-      return A.second->num("wall_ms") > B.second->num("wall_ms");
+      return A.second->num("sum") > B.second->num("sum");
     });
     if (Phases.size() > 8)
       Phases.resize(8);
     Table Top({"phase", "wall_ms", "count"});
-    for (const auto &[Name, T] : Phases)
-      Top.addRow({Name, formatDouble(T->num("wall_ms"), 2),
-                  formatWithCommas(static_cast<int64_t>(T->num("count")))});
-    OS << Top.toString(2) << "\n";
+    for (const auto &[Name, H] : Phases)
+      Top.addRow({Name, formatDouble(H->num("sum") / 1e3, 2),
+                  formatWithCommas(static_cast<int64_t>(H->num("count")))});
+    if (!Phases.empty())
+      OS << Top.toString(2) << "\n";
   }
   return OS.str();
 }

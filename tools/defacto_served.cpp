@@ -70,17 +70,21 @@ int main(int argc, char **argv) {
   cl::ArgList Args(argc, argv);
   cl::ObservabilityConfig Obs = cl::consumeObservabilityFlags(Args);
 
+  // Every default comes from ServeOptions.
   ServeOptions Opts;
   Opts.SocketPath = Args.consumeValue("--socket").value_or("");
-  Opts.NumThreads = Args.consumeUnsigned("--threads").value_or(2);
-  Opts.MaxQueueDepth = Args.consumeUnsigned("--queue-depth").value_or(64);
-  Opts.MaxBatch = Args.consumeUnsigned("--max-batch").value_or(8);
+  Opts.NumThreads =
+      Args.consumeUnsigned("--threads").value_or(Opts.NumThreads);
+  Opts.MaxQueueDepth =
+      Args.consumeUnsigned("--queue-depth").value_or(Opts.MaxQueueDepth);
+  Opts.MaxBatch = Args.consumeUnsigned("--max-batch").value_or(Opts.MaxBatch);
   Opts.JournalPath = Args.consumeValue("--journal").value_or("");
-  Opts.WatchdogSeconds = parseSeconds(Args.consumeValue("--watchdog"), 0);
-  Opts.BreakerThreshold =
-      Args.consumeUnsigned("--breaker-threshold").value_or(0);
-  Opts.BreakerCooldownSeconds =
-      parseSeconds(Args.consumeValue("--breaker-cooldown"), 30);
+  Opts.WatchdogSeconds =
+      parseSeconds(Args.consumeValue("--watchdog"), Opts.WatchdogSeconds);
+  Opts.BreakerThreshold = Args.consumeUnsigned("--breaker-threshold")
+                              .value_or(Opts.BreakerThreshold);
+  Opts.BreakerCooldownSeconds = parseSeconds(
+      Args.consumeValue("--breaker-cooldown"), Opts.BreakerCooldownSeconds);
 
   std::string MetricsJsonl = Args.consumeValue("--metrics-jsonl").value_or("");
   std::string MetricsProm = Args.consumeValue("--metrics-prom").value_or("");
