@@ -7,9 +7,9 @@
 /// \file
 /// Explores many (kernel, platform) jobs concurrently on one worker pool
 /// with one shared EstimateCache. Each job runs the ordinary sequential
-/// engine inside a pool worker — job-level parallelism composes with the
-/// per-job speculative engine only through the shared cache, never
-/// through nested pool submission (which could deadlock a bounded pool).
+/// engine inside a pool worker — jobs feed each other only through the
+/// shared cache, never through nested pool submission (which could
+/// deadlock a bounded pool).
 /// Results come back in submission order and each job's outcome is
 /// identical to running it alone; jobs over the same kernel and platform
 /// additionally hit each other's cached estimates.

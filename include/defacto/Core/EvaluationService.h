@@ -18,9 +18,9 @@
 ///    charge-on-consumption semantics (a cached result charges the
 ///    attempts its original computation cost when it is consumed, not
 ///    when a worker computes it),
-///  - speculation: prefetch() fans candidate evaluations out across the
-///    worker pool; the strategy consumes memoized results in its own
-///    deterministic order,
+///  - the candidate fan-out: fanOut() estimates a candidate list on the
+///    caller-supplied worker pool; the strategy then consumes the
+///    memoized results in its own deterministic order,
 ///  - per-evaluation observability: the "dse.decision" / "dse.failure" /
 ///    "dse.selection" trace events and the explore/cache stat counters.
 ///
@@ -49,7 +49,6 @@
 
 #include <atomic>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -125,20 +124,17 @@ struct ExplorerOptions {
   unsigned MaxFailureLogEntries = 1024;
 
   //===--------------------------------------------------------------===//
-  // Concurrency. Defaults keep every run fully sequential and
-  // bit-identical to the historical engine.
+  // Concurrency. Defaults keep every run fully sequential.
   //===--------------------------------------------------------------===//
 
-  /// Worker threads for the speculative frontier evaluation and the
-  /// exhaustive/random fan-out. <= 1 means sequential. Parallel mode
+  /// Worker pool for the exhaustive/random candidate fan-out; unset
+  /// (the default) runs sequentially. The guided walk, the hill climb and
+  /// guided+tile are sequential by construction and never use it. Fan-out
   /// requires a thread-safe Estimator (the default backend is; a
   /// FaultInjector-wrapped one is not) and assumes it is deterministic —
-  /// that is what makes the parallel walk's selection bit-identical to
-  /// the sequential one's.
-  unsigned NumThreads = 1;
-  /// Worker pool to draw from; with NumThreads > 1 and no pool the
-  /// explorer creates a private one. Sharing one pool across explorers
-  /// (BatchExplorer does) bounds total worker threads.
+  /// that is what makes the fanned-out selection bit-identical to the
+  /// sequential one's. BatchExplorer clears it for its jobs: they already
+  /// run on the batch's pool.
   std::shared_ptr<ThreadPool> Pool;
   /// Estimate cache shared across explorers, runs, and threads. Unset:
   /// the explorer creates a private cache, i.e. per-instance memoization
@@ -155,7 +151,7 @@ struct ExplorerOptions {
   // event site is one relaxed load and a branch.
   //===--------------------------------------------------------------===//
 
-  /// Trace recorder the engine emits decision/speculation/phase events
+  /// Trace recorder the engine emits decision/fan-out/phase events
   /// to; TraceRecorder::global() (disabled by default) when unset.
   /// Events are recorded only while the recorder is enabled.
   std::shared_ptr<TraceRecorder> Trace;
@@ -182,9 +178,9 @@ struct EvaluationFailure {
 /// estimation of candidate designs over one source kernel.
 ///
 /// Thread-compatibility: one service instance serves one search strategy
-/// at a time (strategies call it from their driving thread); prefetch()
-/// is the only entry point that fans work onto other threads, and the
-/// underlying EstimateCache serializes those against the consuming walk.
+/// at a time (strategies call it from their driving thread); fanOut() is
+/// the only entry point that puts work on other threads, and it returns
+/// only once that work has finished.
 class EvaluationService {
 public:
   /// Normalizes \p Opts (default estimator/clock/sleep, private cache
@@ -195,7 +191,6 @@ public:
                     ExplorerOptions Opts);
   /// Builds a private session over a clone of \p Source.
   EvaluationService(const Kernel &Source, ExplorerOptions Opts);
-  ~EvaluationService();
 
   EvaluationService(const EvaluationService &) = delete;
   EvaluationService &operator=(const EvaluationService &) = delete;
@@ -222,18 +217,12 @@ public:
   /// evaluate() over a design point.
   std::optional<SynthesisEstimate> evaluate(const DesignPoint &P);
 
-  /// Speculatively evaluates \p Candidates on the configured worker pool
-  /// into the estimate cache; no-op in sequential mode. Later
-  /// evaluate() calls consume the results in their own deterministic
-  /// order. Speculative work never charges the evaluation budget;
-  /// consumption does.
-  void prefetch(const std::vector<UnrollVector> &Candidates);
-
-  /// prefetch() over design points.
-  void prefetchPoints(const std::vector<DesignPoint> &Candidates);
-
-  /// Blocks until every outstanding speculative evaluation finished.
-  void drainSpeculation();
+  /// Estimates \p Candidates on the worker pool (ExplorerOptions::Pool)
+  /// into the estimate cache and returns once every one has finished;
+  /// no-op without a pool. Later evaluate() calls consume the results in
+  /// their own deterministic order. Fanned-out work never charges the
+  /// evaluation budget; consumption does.
+  void fanOut(const std::vector<UnrollVector> &Candidates);
 
   /// Arms the evaluation budget: evaluateChecked fails with
   /// BudgetExhausted once \p MaxEvaluations attempts have been charged.
@@ -283,7 +272,8 @@ public:
 
   /// Shared estimate-cache lookups this service made that found a
   /// completed entry (hits) or did not (misses: it computed the design,
-  /// speculatively or not, or waited on another thread's computation).
+  /// on a fan-out worker or not, or waited on another thread's
+  /// computation).
   /// Per service, so a daemon can tell a warm request from a cold one
   /// coalesced into the same batch.
   uint64_t cacheHits() const { return LookupHits.load(); }
@@ -345,11 +335,8 @@ public:
   /// kernel's name).
   const std::string &trackLabel() const { return Track; }
 
-  /// True when a worker pool is configured (speculation is live).
-  bool parallel() const { return Opts.Pool != nullptr || Opts.NumThreads > 1; }
-
   /// Raw estimation attempts currently executing, process-wide (every
-  /// service, sequential walks and speculation workers alike). Tracked
+  /// service, sequential walks and fan-out workers alike). Tracked
   /// only while stats recording is enabled; the MetricsSampler exposes
   /// it as the in_flight_evals gauge.
   static uint64_t inFlightEvaluations();
@@ -380,7 +367,6 @@ private:
   /// Emits one run-variant "dse.stagecache" trace event.
   void traceStageCache(const DesignPoint &P, const StageRunInfo &Info) const;
   std::string cacheKey(const DesignPoint &P) const;
-  std::shared_ptr<ThreadPool> workerPool();
   /// Appends to the bounded failure ring, evicting (and counting) the
   /// oldest entry when full.
   void logFailure(EvaluationFailure F);
@@ -400,8 +386,6 @@ private:
   /// estimator — the precondition for estimating staged candidates
   /// without re-verifying them.
   bool DefaultEstimator = false;
-  std::shared_ptr<ThreadPool> Pool;         // created lazily when parallel
-  std::vector<std::future<void>> Speculation;
   std::map<DesignPoint, SynthesisEstimate> Cache; // this run's successes
   std::map<DesignPoint, Status> FailCache; // this run's permanent failures
   /// Bounded failure ring: oldest entry at FailLogStart once the ring
@@ -421,7 +405,7 @@ private:
   const char *LastCacheOutcome = "none";
   unsigned Used = 0;
   /// Shared-cache lookup outcomes (cacheHits()/cacheMisses()); misses
-  /// are also counted by speculation workers.
+  /// are also counted by fan-out workers.
   std::atomic<uint64_t> LookupHits{0};
   std::atomic<uint64_t> LookupMisses{0};
   /// MaxEvaluations is enforced only between beginBudget()/endBudget();

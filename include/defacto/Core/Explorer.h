@@ -17,7 +17,7 @@
 ///        │          hillclimb/portfolio, plus the StrategyRegistry)
 ///        ▼
 ///   EvaluationService (EvaluationService.h — estimator seam, cache,
-///                      retries/budget/deadline, speculation, trace)
+///                      retries/budget/deadline, fan-out, trace)
 ///
 /// run() executes the guided balance walk: starting from a
 /// saturation-point design Uinit, the search walks unroll-factor vectors
@@ -32,16 +32,14 @@
 /// Exhaustive and random search baselines are provided for the coverage
 /// and quality comparisons of §6.3.
 ///
-/// Concurrency: with NumThreads > 1 (or an explicit Pool) the engine
-/// speculatively evaluates the walk's whole candidate frontier — the
-/// Increase doubling chain and the SelectBetween bisection midpoints,
-/// both enumerable upfront in Psat multiples — on a worker pool, while
-/// the walk itself runs unchanged and consumes memoized results in its
-/// original deterministic order. The exhaustive and random baselines fan
-/// every candidate out across the pool the same way. For a deterministic
-/// estimation backend the selected design is bit-identical to the
-/// sequential walk's; estimator attempts are charged to the evaluation
-/// budget when the walk consumes a result, not when a worker computes it.
+/// Concurrency: the walk is sequential. Each Increase or SelectBetween
+/// step reads the balance of the design just estimated, so there is
+/// nothing to overlap. Given a worker pool (ExplorerOptions::Pool), the
+/// exhaustive and random baselines estimate their whole candidate list
+/// on it, then reduce in candidate order; for a deterministic estimation
+/// backend the selected design is bit-identical to the sequential
+/// run's, and estimator attempts are charged to the evaluation budget
+/// when the search consumes a result, not when a worker computes it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,25 +83,6 @@ public:
     return Svc.evaluateChecked(U);
   }
 
-  /// Speculatively evaluates \p Candidates on the configured worker pool
-  /// into the estimate cache; no-op in sequential mode. Later
-  /// evaluate()/run() calls consume the results in their own
-  /// deterministic order. Speculative work never charges the evaluation
-  /// budget; consumption does.
-  void prefetch(const std::vector<UnrollVector> &Candidates) {
-    Svc.prefetch(Candidates);
-  }
-
-  /// Blocks until every outstanding speculative evaluation finished.
-  void drainSpeculation() { Svc.drainSpeculation(); }
-
-  /// The frontier run() would speculate: base, Uinit, the Increase
-  /// doubling chain, and the SelectBetween bisection midpoint closure
-  /// (Psat multiples), deduplicated and capped.
-  std::vector<UnrollVector> guidedFrontier() const {
-    return defacto::guidedFrontier(Svc);
-  }
-
   const UnrollSpace &space() const { return Svc.space(); }
   const SaturationInfo &saturation() const { return Svc.saturation(); }
 
@@ -145,8 +124,8 @@ private:
 
 /// Exhaustive baseline: evaluates every divisor vector and picks the
 /// fastest fitting design, breaking ties by smaller area. Visited lists
-/// every candidate. With Opts.NumThreads > 1 the candidates are estimated
-/// concurrently; the reduction stays in candidate order, so the result is
+/// every candidate. With Opts.Pool set the candidates are estimated on the
+/// pool; the reduction stays in candidate order, so the result is
 /// identical to the sequential one.
 ExplorationResult exploreExhaustive(const Kernel &Source,
                                     const ExplorerOptions &Opts);

@@ -8,7 +8,7 @@
 /// The policy half of the exploration engine: a SearchStrategy decides
 /// *which* designs to look at; the EvaluationService underneath it
 /// (EvaluationService.h) decides *how* each look is performed (cache,
-/// retries, budget, speculation, trace). Five strategies ship built in
+/// retries, budget, fan-out, trace). Five strategies ship built in
 /// and are selectable by name through the StrategyRegistry:
 ///
 ///   guided      the paper's Figure-2 balance-guided walk (the default)
@@ -238,11 +238,6 @@ Expected<ExplorationResult> exploreWithStrategy(const Kernel &Source,
 /// The search's starting point (§5.3's Uinit selection) for \p Eval's
 /// kernel: the saturation-point design.
 UnrollVector guidedInitialVector(const EvaluationService &Eval);
-
-/// The frontier the guided walk would speculate: base, Uinit, the
-/// Increase doubling chain, and the SelectBetween bisection midpoint
-/// closure (Psat multiples), deduplicated and capped.
-std::vector<UnrollVector> guidedFrontier(const EvaluationService &Eval);
 
 } // namespace defacto
 

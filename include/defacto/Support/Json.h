@@ -8,8 +8,7 @@
 /// A dependency-free JSON toolkit, just enough for the repo's own needs:
 ///
 ///  - isValidJson: syntax checking (RFC 8259 grammar) the tests use to
-///    assert the trace/stats exporters and BENCH_dse.json emit
-///    well-formed documents;
+///    assert the trace/stats exporters emit well-formed documents;
 ///  - parseJson/JsonValue: a small document tree for readers of our own
 ///    machine-generated output — the evaluation journal loads its JSONL
 ///    records through it on resume;

@@ -8,7 +8,7 @@
 /// The live-telemetry sampler: periodically snapshots every observability
 /// surface — StatRegistry counters, HistogramRegistry distributions
 /// (phase spans included), plus caller-registered gauges (queue
-/// depth, in-flight evaluations, frontier size, breaker states, job
+/// depth, in-flight evaluations, breaker states, job
 /// progress) — and appends each snapshot as one JSONL line, flushed with
 /// the journal's write-then-rename idiom so a tailing reader
 /// (tools/defacto_monitor.cpp) never sees a torn file. The latest

@@ -7,9 +7,9 @@
 /// \file
 /// A fixed-size worker pool for the exploration engine. Tasks are queued
 /// FIFO and handed to the first free worker; submit() returns a future
-/// the caller can block on, so the explorer's speculative frontier
-/// evaluation can overlap estimation of many candidate designs while the
-/// guided walk consumes results in its own deterministic order.
+/// the caller can block on, so a batch can run many jobs at once and an
+/// exhaustive or random search can estimate its candidate list in
+/// parallel before reducing it in its own deterministic order.
 ///
 /// The pool is deliberately small and boring: one shared queue, a
 /// condition variable, and clean shutdown (the destructor drains the

@@ -44,20 +44,10 @@ ExplorationResult runJob(BatchJob &Job,
                          const std::shared_ptr<TraceRecorder> &Trace,
                          const std::shared_ptr<CircuitBreakerRegistry>
                              &Breakers) {
-  // Each job runs sequentially inside its worker: its parallelism budget
-  // is the batch's, and nested speculation into the batch pool could
-  // deadlock it (every worker waiting on tasks no worker is free to
-  // run). The shared cache still lets concurrent jobs feed each other.
-  // A private per-job pool would not pay either: guided speculation
-  // prefetches the whole Increase chain, whose large-unroll points cost
-  // far more to transform and estimate than the walk ever needs, and
-  // drainSpeculation() waits for all of them before the job returns. The
-  // bench/perf_dse_throughput BM_ExplorationThreads sweep measures
-  // guided runs about 5-60x slower at 2-8 threads than at 1, with the
-  // same answers (ROADMAP.md, "Speculation that waits for designs the
-  // walk never visits").
+  // A job runs on a batch worker, so it gets no pool of its own: a
+  // fan-out into the batch pool could deadlock it (every worker waiting
+  // on tasks no worker is free to run).
   ExplorerOptions Opts = Job.Opts;
-  Opts.NumThreads = 1;
   Opts.Pool = nullptr;
   Opts.Cache = Cache;
   if (!Opts.Trace)

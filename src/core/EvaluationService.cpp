@@ -70,8 +70,6 @@ EvaluationService::EvaluationService(const Kernel &Source,
     : EvaluationService(KernelSession::create(Source.clone()),
                         std::move(Opts)) {}
 
-EvaluationService::~EvaluationService() { drainSpeculation(); }
-
 TransformOptions
 EvaluationService::transformOptionsFor(const DesignPoint &P) const {
   TransformOptions TO = Opts.BaseTransforms;
@@ -134,7 +132,7 @@ void EvaluationService::traceDecision(const DesignPoint &P,
     Ev.Args.push_back({"tile", std::to_string(P.Tile->first) + "x" +
                                    std::to_string(P.Tile->second)});
   // Run-variant detail: a design this walk computed sequentially is a
-  // speculation hit (or wait) in a parallel run.
+  // cache hit (or wait) after a fan-out or in a shared-cache batch.
   Ev.Runtime = {{"cache", LastCacheOutcome}};
   R.record(std::move(Ev));
 }
@@ -305,7 +303,7 @@ uint64_t EvaluationService::inFlightEvaluations() {
 Expected<SynthesisEstimate>
 EvaluationService::computeRaw(const DesignPoint &P) const {
   // The single instrumentation chokepoint for evaluation cost: the
-  // sequential walk and speculation workers both come through here.
+  // sequential walk and fan-out workers both come through here.
   // Zero-cost discipline: disabled, this is one relaxed load and a branch
   // on top of the estimate.
   if (!statsEnabled())
@@ -588,64 +586,47 @@ EvaluationService::evaluated(const DesignPoint &P) const {
   return std::nullopt;
 }
 
-std::shared_ptr<ThreadPool> EvaluationService::workerPool() {
-  if (Opts.Pool)
-    return Opts.Pool;
-  if (Opts.NumThreads <= 1)
-    return nullptr;
-  if (!Pool)
-    Pool = std::make_shared<ThreadPool>(Opts.NumThreads);
-  return Pool;
-}
-
-void EvaluationService::prefetch(const std::vector<UnrollVector> &Candidates) {
-  std::vector<DesignPoint> Points;
-  Points.reserve(Candidates.size());
-  for (const UnrollVector &U : Candidates)
-    Points.push_back(DesignPoint(U));
-  prefetchPoints(Points);
-}
-
-void EvaluationService::prefetchPoints(
-    const std::vector<DesignPoint> &Candidates) {
-  std::shared_ptr<ThreadPool> Workers = workerPool();
-  if (!Workers)
+void EvaluationService::fanOut(const std::vector<UnrollVector> &Candidates) {
+  if (!Opts.Pool)
     return;
-  for (const DesignPoint &P : Candidates) {
-    if (P.isUnrollOnly() ? !space().isCandidate(P.Unroll)
-                         : !designSpace().isCandidate(P))
+  std::vector<std::future<void>> Tasks;
+  Tasks.reserve(Candidates.size());
+  // Every task captures this service: settle them all before returning,
+  // on the exception path too.
+  struct SettleAll {
+    std::vector<std::future<void>> &Tasks;
+    ~SettleAll() {
+      for (std::future<void> &F : Tasks)
+        F.wait();
+    }
+  } Settle{Tasks};
+  for (const UnrollVector &U : Candidates) {
+    if (!space().isCandidate(U))
       continue;
     ++NumSpeculated;
-    Speculation.push_back(Workers->submit([this, P] {
+    Tasks.push_back(Opts.Pool->submit([this, P = DesignPoint(U)] {
       auto Found = Estimates->lookupOrBegin(cacheKey(P));
-      if (auto *Ticket = std::get_if<EstimateCache::Ticket>(&Found)) {
-        ++LookupMisses;
-        // Spans from worker threads show the estimation overlap in the
-        // Perfetto timeline; they are run-variant by nature and excluded
-        // from the deterministic decision digest.
-        TraceSpan Span(recorder(), Track, "speculate", P.toString());
-        // Mirror the sequential retry policy (minus the backoff sleeps)
-        // so the attempts recorded — and later charged on consumption —
-        // match what the sequential walk would have spent.
-        unsigned Attempts = 1;
-        Expected<SynthesisEstimate> Est = computeRaw(P);
-        while (!Est && Attempts <= Opts.MaxRetries) {
-          ++Attempts;
-          Est = computeRaw(P);
-        }
-        Span.note("attempts", std::to_string(Attempts));
-        Span.note("ok", Est ? "1" : "0");
-        Estimates->fulfill(std::move(*Ticket),
-                           EstimateCache::Result{std::move(Est), Attempts});
+      auto *Ticket = std::get_if<EstimateCache::Ticket>(&Found);
+      if (!Ticket)
+        return; // Already computed, or in flight on another thread.
+      ++LookupMisses;
+      // Spans from worker threads show the estimation overlap in the
+      // Perfetto timeline; they are run-variant by nature and excluded
+      // from the deterministic decision digest.
+      TraceSpan Span(recorder(), Track, "speculate", P.toString());
+      // Mirror the sequential retry policy (minus the backoff sleeps)
+      // so the attempts recorded — and later charged on consumption —
+      // match what a sequential run would have spent.
+      unsigned Attempts = 1;
+      Expected<SynthesisEstimate> Est = computeRaw(P);
+      while (!Est && Attempts <= Opts.MaxRetries) {
+        ++Attempts;
+        Est = computeRaw(P);
       }
-      // A completed or in-flight entry needs no speculative work.
+      Span.note("attempts", std::to_string(Attempts));
+      Span.note("ok", Est ? "1" : "0");
+      Estimates->fulfill(std::move(*Ticket),
+                         EstimateCache::Result{std::move(Est), Attempts});
     }));
   }
-}
-
-void EvaluationService::drainSpeculation() {
-  for (std::future<void> &F : Speculation)
-    if (F.valid())
-      F.wait();
-  Speculation.clear();
 }

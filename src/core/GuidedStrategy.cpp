@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <set>
 
 using namespace defacto;
@@ -31,9 +30,6 @@ DEFACTO_STATISTIC(NumEvaluationsSpent, "explore", "evaluations",
                   "estimator attempts charged to exploration budgets");
 DEFACTO_STATISTIC(NumDegraded, "explore", "degraded",
                   "explorations that finished degraded");
-DEFACTO_STATISTIC(FrontierSize, "explore", "frontier_size",
-                  "candidates in the most recent speculative frontier "
-                  "(gauge)");
 
 UnrollVector defacto::guidedInitialVector(const EvaluationService &Eval) {
   const UnrollSpace &Space = Eval.space();
@@ -72,60 +68,6 @@ UnrollVector defacto::guidedInitialVector(const EvaluationService &Eval) {
   return U;
 }
 
-std::vector<UnrollVector> defacto::guidedFrontier(const EvaluationService &Eval) {
-  const UnrollSpace &Space = Eval.space();
-  const SaturationInfo &Sat = Eval.saturation();
-  const std::vector<unsigned> &Preference = Eval.preference();
-  std::vector<UnrollVector> Frontier;
-  std::set<UnrollVector> Seen;
-  auto add = [&](const UnrollVector &U) {
-    if (Space.isCandidate(U) && Seen.insert(U).second)
-      Frontier.push_back(U);
-  };
-
-  add(Space.base());
-  UnrollVector Uinit = guidedInitialVector(Eval);
-  add(Uinit);
-
-  // The Increase doubling chain from Uinit: deterministic, independent
-  // of any estimate.
-  std::vector<UnrollVector> Chain{Uinit};
-  UnrollVector U = Uinit;
-  for (unsigned Step = 0; Step != 64; ++Step) {
-    UnrollVector Next = Space.increase(U, Preference);
-    if (Next == U)
-      break;
-    add(Next);
-    Chain.push_back(Next);
-    U = Next;
-  }
-
-  // The SelectBetween midpoint closure: every design a bisection between
-  // two frontier points can land on, in Psat multiples. Bounded depth —
-  // the bisection halves the product gap each level.
-  int64_t Quantum = std::max<int64_t>(1, Sat.Psat);
-  std::function<void(const UnrollVector &, const UnrollVector &, unsigned)>
-      Closure = [&](const UnrollVector &Lo, const UnrollVector &Hi,
-                    unsigned Depth) {
-        if (Depth == 0)
-          return;
-        UnrollVector Mid = Space.selectBetween(Lo, Hi, Quantum);
-        if (Mid == Lo || Mid == Hi)
-          return;
-        add(Mid);
-        Closure(Lo, Mid, Depth - 1);
-        Closure(Mid, Hi, Depth - 1);
-      };
-  Closure(Space.base(), Uinit, 5);
-  for (size_t I = 0; I + 1 < Chain.size(); ++I)
-    Closure(Chain[I], Chain[I + 1], 5);
-
-  // Cap speculative work: the walk evaluates what the frontier missed.
-  if (Frontier.size() > 96)
-    Frontier.resize(96);
-  return Frontier;
-}
-
 namespace {
 
 class GuidedStrategy : public SearchStrategy {
@@ -151,15 +93,6 @@ ExplorationResult GuidedStrategy::search(const SearchContext &SC) {
   Res.Sat = Sat;
   Res.FullSpaceSize = Space.fullSize();
   Eval.beginBudget(Opts.MaxEvaluations);
-
-  // Parallel mode: overlap the walk with speculative estimation of its
-  // enumerable frontier. The walk below is unchanged — it consumes the
-  // memoized results in its own order, so selection is deterministic.
-  if (Eval.parallel()) {
-    std::vector<UnrollVector> Frontier = guidedFrontier(Eval);
-    FrontierSize.set(Frontier.size());
-    Eval.prefetch(Frontier);
-  }
 
   bool HaveBaseline = false;
   if (Expected<SynthesisEstimate> Base =
@@ -243,7 +176,6 @@ ExplorationResult GuidedStrategy::search(const SearchContext &SC) {
                          [](const UnrollVector &A, const UnrollVector &B2) {
                            return unrollProduct(A) > unrollProduct(B2);
                          });
-        Eval.prefetch(Candidates);
         Ucurr = Space.base();
         for (const UnrollVector &C : Candidates) {
           Expected<SynthesisEstimate> Fit = record(C, "fit");
@@ -424,9 +356,6 @@ ExplorationResult GuidedStrategy::search(const SearchContext &SC) {
   NumEvaluationsSpent.add(Eval.evaluationsUsed());
   Eval.traceSelection(Res);
   Eval.endBudget();
-  // Leftover speculative tasks reference the service; settle them before
-  // handing the result back.
-  Eval.drainSpeculation();
   return Res;
 }
 

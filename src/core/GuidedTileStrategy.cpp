@@ -194,7 +194,6 @@ ExplorationResult GuidedTileStrategy::search(const SearchContext &SC) {
   Res.EvaluationsUsed = Eval.evaluationsUsed();
   Eval.traceSelection(Res);
   Eval.endBudget();
-  Eval.drainSpeculation();
   return Res;
 }
 

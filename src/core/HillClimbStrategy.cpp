@@ -238,7 +238,6 @@ ExplorationResult HillClimbStrategy::search(const SearchContext &SC) {
                  " failure(s) logged\n";
   Eval.traceSelection(Res);
   Eval.endBudget();
-  Eval.drainSpeculation();
   return Res;
 }
 

@@ -107,10 +107,10 @@ std::string StrategyRegistry::describe() const {
 
 namespace {
 
-/// Evaluates \p Candidates through the service (worker pool fan-out when
-/// configured, reduction in candidate order so the result matches the
-/// sequential run) and selects the fastest fitting design; among designs
-/// within 5% of its cycles, the smallest.
+/// Evaluates \p Candidates through the service (fanned out on the worker
+/// pool when one is configured, reduced in candidate order so the result
+/// matches the sequential run) and selects the fastest fitting design;
+/// among designs within 5% of its cycles, the smallest.
 ExplorationResult pickBest(const SearchContext &SC,
                            const std::vector<UnrollVector> &Candidates,
                            const char *Role) {
@@ -120,9 +120,9 @@ ExplorationResult pickBest(const SearchContext &SC,
   Res.Sat = Ex.saturation();
   Res.FullSpaceSize = Ex.space().fullSize();
 
-  std::vector<UnrollVector> Prefetch{Ex.space().base()};
-  Prefetch.insert(Prefetch.end(), Candidates.begin(), Candidates.end());
-  Ex.prefetch(Prefetch);
+  std::vector<UnrollVector> FanOut{Ex.space().base()};
+  FanOut.insert(FanOut.end(), Candidates.begin(), Candidates.end());
+  Ex.fanOut(FanOut);
 
   if (auto Base = Ex.evaluate(Ex.space().base())) {
     Res.BaselineEstimate = *Base;

@@ -14,8 +14,9 @@
 /// behavior change, not noise. DEFACTO_REGOLDEN=1 rewrites the file
 /// (only for a deliberate, documented change of answers).
 ///
-/// The answers must be identical at 1 and 8 worker threads: speculation
-/// changes when designs are estimated, never what the walk decides.
+/// The answers must be identical at 1 and 8 worker threads: the
+/// exhaustive/random fan-out changes when designs are estimated, never
+/// what a search decides, and the other strategies ignore the pool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,7 +64,6 @@ std::vector<std::string> computeAnswers(unsigned Threads) {
         Trace->setEnabled(true);
         ExplorerOptions Opts;
         Opts.Platform = Platform;
-        Opts.NumThreads = Threads;
         Opts.Pool = Pool;
         Opts.Trace = Trace;
         Opts.StageCache = Stages;

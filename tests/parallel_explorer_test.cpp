@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// The concurrent engine's core guarantee: with a deterministic
-/// estimation backend, a parallel exploration (speculative frontier
-/// evaluation, shared estimate cache, exhaustive fan-out, batch driver)
-/// selects the *bit-identical* design the sequential walk selects, with
-/// the same visit order, trace, and budget accounting. Checked for every
-/// paper kernel on both platforms and for a seeded family of randomly
-/// generated kernels.
+/// estimation backend, a parallel exploration (shared estimate cache,
+/// exhaustive/random fan-out, batch driver) selects the *bit-identical*
+/// design the sequential run selects, with the same visit order, trace,
+/// and budget accounting. The sequential strategies ignore a worker
+/// pool. Checked for every paper kernel on both platforms and for a
+/// seeded family of randomly generated kernels.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,13 +53,13 @@ void expectIdentical(const ExplorationResult &Seq,
 }
 
 ExplorationResult runSequential(const Kernel &K, ExplorerOptions Opts) {
-  Opts.NumThreads = 1;
+  Opts.Pool = nullptr;
   return DesignSpaceExplorer(K, std::move(Opts)).run();
 }
 
 ExplorationResult runParallel(const Kernel &K, ExplorerOptions Opts,
                               unsigned Threads = 4) {
-  Opts.NumThreads = Threads;
+  Opts.Pool = std::make_shared<ThreadPool>(Threads);
   return DesignSpaceExplorer(K, std::move(Opts)).run();
 }
 
@@ -163,7 +163,7 @@ TEST(ParallelExplorer, ExhaustiveMatchesSequential) {
     Kernel K = buildKernel(Name);
     ExplorerOptions Seq;
     ExplorerOptions Par;
-    Par.NumThreads = 4;
+    Par.Pool = std::make_shared<ThreadPool>(4);
     SCOPED_TRACE(Name);
     ExplorationResult A = exploreExhaustive(K, Seq);
     ExplorationResult B = exploreExhaustive(K, Par);
@@ -175,9 +175,51 @@ TEST(ParallelExplorer, RandomMatchesSequential) {
   Kernel K = buildKernel("SOBEL");
   ExplorerOptions Seq;
   ExplorerOptions Par;
-  Par.NumThreads = 4;
+  Par.Pool = std::make_shared<ThreadPool>(4);
   expectIdentical(exploreRandom(K, Seq, 12, 42),
                   exploreRandom(K, Par, 12, 42));
+}
+
+/// explore.speculated: designs submitted to a worker pool, process-wide.
+static uint64_t poolSubmissions() {
+  for (const StatSnapshot &S : StatRegistry::instance().snapshot())
+    if (S.Group == "explore" && S.Name == "speculated")
+      return S.Value;
+  return 0;
+}
+
+TEST(ParallelExplorer, OnlyCandidateListsUseThePool) {
+  // The guided walk, guided+tile and the hill climb read each estimate
+  // before choosing the next design: given a pool they submit nothing to
+  // it and answer as without one. The exhaustive baseline fans its whole
+  // candidate list out and still matches the sequential run.
+  bool WasEnabled = StatRegistry::instance().enabled();
+  StatRegistry::instance().setEnabled(true);
+  auto Pool = std::make_shared<ThreadPool>(4);
+  for (const char *Name : {"MM", "SOBEL"}) {
+    Kernel K = buildKernel(Name);
+    ExplorerOptions Par;
+    Par.Pool = Pool;
+    for (const char *Strategy : {"guided", "guided+tile", "hillclimb"}) {
+      SCOPED_TRACE(std::string(Name) + " " + Strategy);
+      uint64_t Before = poolSubmissions();
+      Expected<ExplorationResult> Pooled =
+          exploreWithStrategy(K, Par, Strategy);
+      EXPECT_EQ(poolSubmissions(), Before);
+      Expected<ExplorationResult> Alone =
+          exploreWithStrategy(K, ExplorerOptions{}, Strategy);
+      ASSERT_TRUE(Pooled && Alone);
+      expectIdentical(*Alone, *Pooled);
+      EXPECT_EQ(Alone->SelectedPoint, Pooled->SelectedPoint);
+    }
+    SCOPED_TRACE(std::string(Name) + " exhaustive");
+    uint64_t Before = poolSubmissions();
+    ExplorationResult Fanned = exploreExhaustive(K, Par);
+    // The baseline plus every candidate.
+    EXPECT_EQ(poolSubmissions() - Before, Fanned.Visited.size() + 1);
+    expectIdentical(exploreExhaustive(K, ExplorerOptions{}), Fanned);
+  }
+  StatRegistry::instance().setEnabled(WasEnabled);
 }
 
 TEST(ParallelExplorer, RegisterCapRunsMatchSequential) {

@@ -228,7 +228,8 @@ TracedRun runGuided(const std::string &Name, const TargetPlatform &Platform,
   Trace->setEnabled(true);
   ExplorerOptions Opts;
   Opts.Platform = Platform;
-  Opts.NumThreads = Threads;
+  if (Threads > 1)
+    Opts.Pool = std::make_shared<ThreadPool>(Threads);
   Opts.Trace = Trace;
   Opts.BaseTransforms.Pipeline = Pipeline;
   Kernel K = buildKernel(Name);

@@ -32,7 +32,8 @@ ExplorerOptions makeOptions(const TargetPlatform &Platform, unsigned Threads,
                             std::shared_ptr<TraceRecorder> Trace) {
   ExplorerOptions Opts;
   Opts.Platform = Platform;
-  Opts.NumThreads = Threads;
+  if (Threads > 1)
+    Opts.Pool = std::make_shared<ThreadPool>(Threads);
   Opts.Trace = std::move(Trace);
   return Opts;
 }

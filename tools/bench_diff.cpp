@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Compares two perf_eval_fastpath reports (BENCH_eval.json) sweep by
+/// Compares two perf_eval reports (BENCH_eval.json) sweep by
 /// sweep: the baseline (usually the committed file) against a fresh run.
 /// Sweeps are matched on (mode, threads); the table shows evaluations
 /// per second and best wall time side by side with the percentage

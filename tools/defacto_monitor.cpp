@@ -89,7 +89,6 @@ std::string renderFrame(const JsonValue &Sample, const std::string &Path) {
 
   const JsonValue *Gauges = Sample.find("gauges");
   const JsonValue *Derived = Sample.find("derived");
-  const JsonValue *Counters = Sample.find("counters");
 
   // Batch progress.
   if (Gauges && Gauges->find("jobs_total")) {
@@ -120,11 +119,6 @@ std::string renderFrame(const JsonValue &Sample, const std::string &Path) {
        << "   breakers open "
        << formatDouble(Gauges->num("breakers_open"), 0) << "\n";
   }
-  if (Counters && Counters->find("explore.frontier_size"))
-    OS << "  frontier  "
-       << formatWithCommas(
-              static_cast<int64_t>(Counters->num("explore.frontier_size")))
-       << " speculative candidates\n";
   OS << "\n";
 
   // Latency percentile table from the histogram registry export.
