@@ -155,6 +155,14 @@ private:
 /// its own pool for a batch sizes it the same way.
 unsigned batchThreads(unsigned NumThreads, size_t NumJobs);
 
+/// Journals \p Result's winner summary as job \p Name; when the journal
+/// already held a record for \p Name (an interrupted run finished this
+/// job), first verifies the re-derived winner against it and notes the
+/// outcome in the result's trace. runAll() calls it per job; the daemon
+/// also calls it for the requests it answers without a batch.
+void journalJob(EvaluationJournal &Journal, const std::string &Name,
+                ExplorationResult &Result);
+
 /// One-shot convenience: run \p Jobs with \p Opts.
 std::vector<BatchResult> exploreBatch(std::vector<BatchJob> Jobs,
                                       const BatchOptions &Opts = {});

@@ -159,6 +159,14 @@ public:
   /// Non-blocking probe for a completed entry; does not touch stats.
   std::optional<Result> peek(const std::string &Key) const;
 
+  /// peek() that counts a completed entry as a hit, exactly as
+  /// lookupOrBegin() would (Lookups, Hits, NegativeHits and the cache.*
+  /// counters); an absent or in-flight entry returns std::nullopt and
+  /// counts nothing. No ticket, no wait: the daemon's cache-only replay
+  /// of warm requests (ExplorerOptions::CacheOnly) looks designs up
+  /// through it.
+  std::optional<Result> lookupCompleted(const std::string &Key);
+
   /// Completed entries currently cached.
   size_t size() const;
 

@@ -146,6 +146,15 @@ struct ExplorerOptions {
   /// service creates a private cache.
   std::shared_ptr<TransformStageCache> StageCache;
 
+  /// Answer only from completed Cache entries: the daemon's replay of a
+  /// request on its event loop. A lookup takes no ticket, waits for
+  /// nothing and never reaches the estimator; a hit charges its recorded
+  /// attempts as usual. The first design the cache lacks counts as a
+  /// miss (cacheMisses() > 0) and fails, as does every later
+  /// evaluation, so the search winds down at once and its result is
+  /// void. The pool is ignored.
+  bool CacheOnly = false;
+
   //===--------------------------------------------------------------===//
   // Observability. Off by default and zero-cost while off: a disabled
   // event site is one relaxed load and a branch.
@@ -359,14 +368,21 @@ private:
   /// platform's memory count.
   TransformOptions transformOptionsFor(const DesignPoint &P) const;
   /// The estimator seam: invocation timing, the hang watchdog, the
-  /// dse.cancel trace event. \p Verified (the staged route with the
-  /// built-in backend) estimates without re-verifying \p K.
+  /// dse.cancel trace event. \p Verified (the built-in backend over a
+  /// kernel the pipeline already verified) estimates without
+  /// re-verifying \p K.
   Expected<SynthesisEstimate> invokeBackend(const Kernel &K,
                                             const DesignPoint &P,
                                             bool Verified) const;
   /// Emits one run-variant "dse.stagecache" trace event.
   void traceStageCache(const DesignPoint &P, const StageRunInfo &Info) const;
   std::string cacheKey(const DesignPoint &P) const;
+  /// Consumes a completed shared-cache entry: charges its attempts and
+  /// records it in this run's success or failure map.
+  Expected<SynthesisEstimate> consumeCached(const DesignPoint &P,
+                                            const EstimateCache::Result &R);
+  /// evaluateChecked's shared-cache step under ExplorerOptions::CacheOnly.
+  Expected<SynthesisEstimate> evaluateCached(const DesignPoint &P);
   /// Appends to the bounded failure ring, evicting (and counting) the
   /// oldest entry when full.
   void logFailure(EvaluationFailure F);
@@ -383,8 +399,8 @@ private:
   /// from the options (or a private one).
   StagedPipeline Pipeline;
   /// No estimator was injected, i.e. the backend is the built-in checked
-  /// estimator — the precondition for estimating staged candidates
-  /// without re-verifying them.
+  /// estimator — the precondition for estimating candidates without
+  /// re-verifying them.
   bool DefaultEstimator = false;
   std::map<DesignPoint, SynthesisEstimate> Cache; // this run's successes
   std::map<DesignPoint, Status> FailCache; // this run's permanent failures
@@ -408,6 +424,9 @@ private:
   /// are also counted by fan-out workers.
   std::atomic<uint64_t> LookupHits{0};
   std::atomic<uint64_t> LookupMisses{0};
+  /// CacheOnly: the failure every evaluation returns once a design was
+  /// missing from the cache (ok until then).
+  Status CacheOnlyMiss = Status::ok();
   /// MaxEvaluations is enforced only between beginBudget()/endBudget();
   /// the exhaustive and random baselines enumerate freely.
   std::optional<unsigned> BudgetCap;

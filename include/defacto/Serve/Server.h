@@ -15,17 +15,27 @@
 ///
 /// Architecture (one DseServer instance per daemon):
 ///
-///   accept thread ──► one reader thread per connection
-///                        │  parse + validate (bad requests answered
-///                        │  immediately, never queued)
-///                        ▼
-///                 bounded admission queue ── full? ─► "overloaded" reply
-///                        │                            (backpressure, the
-///                        ▼                             429 analogue)
-///                 batch worker: drains up to MaxBatch queued requests,
-///                 coalesces them into ONE BatchExplorer run over the
-///                 process-lifetime EstimateCache / TransformStageCache /
-///                 worker pool, then fulfills each request's reply
+///   event loop thread: one poll() over the listener and every
+///   connection; non-blocking reads into per-connection line buffers
+///   (each bounded by UnixConnection::MaxLineBytes), at most one request
+///   outstanding per connection, so replies keep request order
+///        │  parse + validate (bad requests answered at once, never
+///        │  queued); ping/shutdown answered at once
+///        ▼
+///   replay the strategy against the cache alone (ExplorerOptions::
+///   CacheOnly) ── every estimate cached? ─► reply from the loop
+///        │ first miss: the replay is discarded     (no queue, no batch)
+///        ▼
+///   bounded admission queue ── full? ─► "overloaded" reply
+///        │                              (backpressure, the 429 analogue)
+///        ▼
+///   batch worker: drains up to MaxBatch queued requests, coalesces them
+///   into ONE BatchExplorer run over the process-lifetime EstimateCache /
+///   TransformStageCache / worker pool, and hands each reply back to the
+///   loop (a wake-up pipe), which writes it
+///
+/// The daemon runs a fixed set of threads — the loop, the batch worker
+/// and the pool — however many connections it has served.
 ///
 /// Admission resolves each request's kernel through a bounded LRU
 /// KernelSessionCache keyed by request content (kernel name or inline
@@ -65,6 +75,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,8 +96,9 @@ struct ServeOptions {
   /// ms), and serve-cold stayed within noise.
   unsigned NumThreads = 2;
   /// Admission bound: queued explore requests past this depth are
-  /// answered "overloaded" immediately. 0 rejects everything (useful in
-  /// tests).
+  /// answered "overloaded" immediately. Warm requests, answered from the
+  /// cache on the event loop, never queue. 0 rejects every request that
+  /// is not warm (useful in tests).
   unsigned MaxQueueDepth = 64;
   /// Requests coalesced into one BatchExplorer run.
   unsigned MaxBatch = 8;
@@ -104,8 +116,8 @@ struct ServeOptions {
   std::shared_ptr<TraceRecorder> Trace;
 };
 
-/// The daemon core. start() spins the accept/worker threads; stop()
-/// drains and joins them. Tools embed it (tools/defacto_served.cpp);
+/// The daemon core. start() spins the event-loop and batch-worker
+/// threads; stop() drains and joins them. Tools embed it (tools/defacto_served.cpp);
 /// tests and the serve_throughput bench run it in-process.
 class DseServer {
 public:
@@ -116,11 +128,13 @@ public:
   DseServer &operator=(const DseServer &) = delete;
 
   /// Binds the socket, replays the journal (when configured and
-  /// present), and starts the accept + batch-worker threads.
+  /// present), and starts the event-loop + batch-worker threads.
   Status start();
 
-  /// Stops accepting, fails queued requests with a shutting-down error,
-  /// finishes the in-flight batch, and joins every thread. Idempotent.
+  /// Stops accepting, finishes the in-flight batch, fails queued
+  /// requests with a shutting-down error, writes what replies the
+  /// sockets take without blocking, closes every connection and joins
+  /// every thread. Idempotent.
   void stop();
 
   /// Blocks until a client's "shutdown" request (or requestStop()).
@@ -176,16 +190,37 @@ public:
 
 private:
   struct Pending;
+  /// One client connection's event-loop state (Server.cpp).
+  struct Connection;
 
-  void acceptLoop();
-  void connectionLoop(UnixConnection Conn);
+  void eventLoop();
+  /// Writes \p C's pending output and handles its buffered request lines
+  /// until it waits on the batch worker or the socket. false once the
+  /// connection is done (closed, shut down, or broken).
+  bool pump(uint64_t Id, Connection &C);
+  /// Answers or queues one request line from connection \p Id.
+  void handleLine(uint64_t Id, Connection &C, const std::string &Line);
+  /// Replays \p P's strategy against the estimate cache alone; the
+  /// reply when every estimate was cached, std::nullopt (nothing
+  /// recorded) at the first miss.
+  std::optional<ServeResponse> replayWarm(Pending &P);
   void workerLoop();
-  /// Runs one coalesced batch and fulfills every reply.
+  /// Runs one coalesced batch and hands every reply to the event loop.
   void runBatch(std::vector<std::shared_ptr<Pending>> Batch);
+  /// Queues \p R for the event loop to write to connection \p Conn.
+  void postReply(uint64_t Conn, const ServeResponse &R);
+  void wakeLoop();
   ServeResponse handlePing(const ServeRequest &Req) const;
   /// Validates an explore request into a Pending (kernel session
   /// resolved, platform resolved); an error ServeResponse otherwise.
   Expected<std::shared_ptr<Pending>> admitPrep(const ServeRequest &Req);
+  /// The exploration options both the replay and the batch run use.
+  ExplorerOptions jobOptions(const Pending &P) const;
+  /// The explore reply for \p E, and the "deadline" reply; both record
+  /// the request's latency, counters and trace event.
+  ServeResponse exploreReply(const Pending &P, const ExplorationResult &E,
+                             uint64_t BatchSeq, unsigned BatchSize);
+  ServeResponse deadlineReply(const Pending &P);
   void emitRequestTrace(const ServeRequest &Req, const ServeResponse &Resp);
   TraceRecorder &recorder() const;
 
@@ -211,11 +246,19 @@ private:
   std::condition_variable QueueCV;
   std::deque<std::shared_ptr<Pending>> Queue;
 
-  std::thread AcceptThread;
+  std::thread LoopThread;
   std::thread WorkerThread;
-  std::mutex ConnM;
-  std::vector<std::thread> ConnThreads;
-  std::vector<int> ConnFds; // live connection fds, for stop()'s shutdown(2)
+  /// Set by stop() once the worker is joined: the loop writes the last
+  /// replies and exits.
+  std::atomic<bool> LoopExit{false};
+  /// Wake-up pipe: the worker and stop() write a byte, the loop polls
+  /// the read end.
+  int WakeRead = -1, WakeWrite = -1;
+  std::mutex ReplyM;
+  /// Batch replies the loop has not written yet: (connection, line).
+  std::vector<std::pair<uint64_t, std::string>> Replies;
+  /// Recorder for replays nobody traces (never enabled).
+  std::shared_ptr<TraceRecorder> Untraced;
 
   std::atomic<uint64_t> Requests{0};
   std::atomic<uint64_t> WarmHits{0};

@@ -9,19 +9,18 @@
 /// Unix-domain stream sockets with newline-delimited framing, wrapped in
 /// the repo's Status/Expected error model so callers never touch errno.
 ///
-///  - UnixListener binds a filesystem socket path, accepts connections,
-///    and supports a polled accept with timeout so an accept loop can
-///    notice a stop flag without busy-waiting;
+///  - UnixListener binds a filesystem socket path and accepts
+///    connections without blocking, once poll() reports one pending;
 ///  - UnixConnection carries one byte stream with sendLine()/recvLine()
 ///    framing: one request or reply per '\n'-terminated line, exactly
 ///    the journal's and metrics sampler's JSONL convention, so every
 ///    wire message is also a valid JSONL record.
 ///
 /// Both types own their file descriptor (move-only, closed on
-/// destruction). All operations are blocking; the daemon gets its
-/// concurrency from one thread per connection, not from readiness
-/// multiplexing — connection counts are bounded by the admission queue
-/// long before select() scalability matters on a single machine.
+/// destruction). sendLine()/recvLine() block (clients, tests); the
+/// daemon's event loop switches its connections to non-blocking mode and
+/// drives them with fill()/takeLine() and queueLine()/flush() from one
+/// poll() loop, so it needs no thread per connection.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,16 +56,44 @@ public:
   /// document serialized on one line is safe). Retries short writes.
   Status sendLine(const std::string &Line);
 
+  /// Default bound on one received line: a runaway peer must not
+  /// balloon daemon memory.
+  static constexpr size_t MaxLineBytes = 1 << 20;
+
   /// Reads up to the next '\n' (stripped). std::nullopt on clean EOF
   /// with no buffered partial line; an error Status on transport
-  /// failure or when \p MaxBytes is exceeded (a runaway peer must not
-  /// balloon daemon memory).
-  Expected<std::optional<std::string>> recvLine(size_t MaxBytes = 1 << 20);
+  /// failure or when \p MaxBytes is exceeded.
+  Expected<std::optional<std::string>>
+  recvLine(size_t MaxBytes = MaxLineBytes);
+
+  //===--------------------------------------------------------------===//
+  // Event-loop I/O: never blocks once setNonBlocking() succeeded.
+  //===--------------------------------------------------------------===//
+
+  Status setNonBlocking();
+
+  /// One recv() of whatever the socket holds now, appended to the line
+  /// buffer. false on EOF (the peer closed its sending side), true
+  /// otherwise, including when nothing was ready. An error Status on
+  /// transport failure or when the buffer holds more than \p MaxBytes
+  /// without a newline.
+  Expected<bool> fill(size_t MaxBytes = MaxLineBytes);
+
+  /// Pops the next complete buffered line ('\n' stripped), if any.
+  std::optional<std::string> takeLine();
+
+  /// Appends \p Line plus '\n' to the output buffer; flush() sends it.
+  void queueLine(const std::string &Line);
+
+  /// Sends as much buffered output as the socket takes now. true once
+  /// nothing is left to send.
+  Expected<bool> flush();
+
+  bool hasPendingOutput() const { return OutSent < Out.size(); }
 
   bool valid() const { return Fd >= 0; }
 
-  /// The raw descriptor — the daemon's stop path shutdown(2)s every
-  /// live connection so threads blocked in recvLine() wake with EOF.
+  /// The raw descriptor, for a poll() loop that waits on it.
   int fd() const { return Fd; }
 
   void close();
@@ -76,6 +103,8 @@ private:
 
   int Fd = -1;
   std::string Buffer; // bytes received past the last returned line
+  std::string Out;    // queued output; the first OutSent bytes are sent
+  size_t OutSent = 0;
 };
 
 /// A bound-and-listening Unix-domain socket.
@@ -97,12 +126,15 @@ public:
   static Expected<UnixListener> listenOn(const std::string &Path,
                                          int Backlog = 64);
 
-  /// Blocks up to \p TimeoutMs for one connection. std::nullopt on
-  /// timeout — the accept loop polls its stop flag between waits.
-  Expected<std::optional<UnixConnection>> acceptFor(int TimeoutMs);
+  /// One pending connection, without waiting: the listener is
+  /// non-blocking, and an event loop calls this once poll() reports the
+  /// descriptor readable. std::nullopt when none is pending (any more).
+  Expected<std::optional<UnixConnection>> accept();
 
   const std::string &path() const { return Path; }
   bool valid() const { return Fd >= 0; }
+  /// The raw descriptor, for a poll() loop that waits on it.
+  int fd() const { return Fd; }
 
   /// Closes the descriptor and unlinks the socket path.
   void close();

@@ -75,12 +75,10 @@ ExplorationResult runJob(BatchJob &Job,
   return Fallback;
 }
 
-/// Journals \p Result's winner summary; when the journal already held a
-/// record for \p Name (an interrupted run finished this job), first
-/// verifies the re-derived winner against it and notes the outcome in
-/// the result's trace.
-void journalJob(EvaluationJournal &Journal, const std::string &Name,
-                ExplorationResult &Result) {
+} // namespace
+
+void defacto::journalJob(EvaluationJournal &Journal, const std::string &Name,
+                         ExplorationResult &Result) {
   JournalJobRecord Rec;
   Rec.Name = Name;
   Rec.Strategy = Result.Strategy;
@@ -102,8 +100,6 @@ void journalJob(EvaluationJournal &Journal, const std::string &Name,
   }
   Journal.recordJob(Rec);
 }
-
-} // namespace
 
 std::vector<BatchResult> BatchExplorer::runAll() {
   std::vector<BatchJob> Pending;

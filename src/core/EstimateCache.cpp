@@ -10,7 +10,8 @@
 #include "defacto/Support/Stats.h"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
+#include <string>
 
 using namespace defacto;
 
@@ -18,7 +19,8 @@ using namespace defacto;
 // combined); gated by the registry enable bit, one relaxed increment per
 // event. The per-instance consistent snapshot is EstimateCache::stats().
 DEFACTO_STATISTIC(NumLookups, "cache", "lookups",
-                  "estimate-cache lookups (lookupOrBegin calls)");
+                  "estimate-cache lookups (lookupOrBegin calls and "
+                  "lookupCompleted hits)");
 DEFACTO_STATISTIC(NumHits, "cache", "hits",
                   "lookups served from a completed entry");
 DEFACTO_STATISTIC(NumNegativeHits, "cache", "negative_hits",
@@ -30,51 +32,104 @@ DEFACTO_STATISTIC(NumWaits, "cache", "waits",
 DEFACTO_STATISTIC(NumInserts, "cache", "inserts",
                   "entries completed by fulfill()");
 
+namespace {
+
+// The keys are built with appends rather than a std::ostringstream: a
+// warm request builds several, and the stream's construction and
+// locale machinery cost more than the formatting. Each helper prints
+// what the stream printed, so keys (and journals) are unchanged.
+
+/// A double as `OS << V` prints it by default: "%g", 6 significant
+/// digits.
+void appendDouble(std::string &Out, double V) {
+  char Buf[32];
+  auto [End, Err] = std::to_chars(Buf, Buf + sizeof(Buf), V,
+                                  std::chars_format::general, 6);
+  Out.append(Buf, End);
+}
+
+template <typename Int> void appendInt(std::string &Out, Int V) {
+  Out += std::to_string(V);
+}
+
+} // namespace
+
 std::string defacto::platformCacheKey(const TargetPlatform &Platform) {
-  std::ostringstream OS;
-  OS << Platform.Name << ';' << Platform.NumMemories << ';'
-     << Platform.MemoryWidthBits << ';' << Platform.Timing.ReadLatencyCycles
-     << ';' << Platform.Timing.WriteLatencyCycles << ';'
-     << Platform.Timing.Pipelined << ';' << Platform.ClockPeriodNs << ';'
-     << Platform.CapacitySlices << ';' << Platform.LoopOverheadCycles << ';'
-     << static_cast<int>(Platform.Widths) << ';'
-     << Platform.OperatorChaining;
-  return OS.str();
+  std::string Out = Platform.Name;
+  for (unsigned V : {Platform.NumMemories, Platform.MemoryWidthBits,
+                     Platform.Timing.ReadLatencyCycles,
+                     Platform.Timing.WriteLatencyCycles}) {
+    Out += ';';
+    appendInt(Out, V);
+  }
+  Out += ';';
+  Out += Platform.Timing.Pipelined ? '1' : '0';
+  Out += ';';
+  appendDouble(Out, Platform.ClockPeriodNs);
+  Out += ';';
+  appendDouble(Out, Platform.CapacitySlices);
+  Out += ';';
+  appendInt(Out, Platform.LoopOverheadCycles);
+  Out += ';';
+  appendInt(Out, static_cast<int>(Platform.Widths));
+  Out += ';';
+  Out += Platform.OperatorChaining ? '1' : '0';
+  return Out;
 }
 
 std::string defacto::transformCacheKey(const TransformOptions &Opts) {
-  std::ostringstream OS;
-  if (Opts.StripMine)
-    OS << "sm" << Opts.StripMine->first << 'x' << Opts.StripMine->second;
-  OS << ';' << Opts.EnableScalarReplacement << Opts.EnablePeeling
-     << Opts.EnableDataLayout << ';' << Opts.SR.MaxChainLength << ';'
-     << Opts.SR.EnableOuterCarriedChains << Opts.SR.EnableWindows << ';'
-     << Opts.Layout.NumMemories;
+  std::string Out;
+  if (Opts.StripMine) {
+    Out += "sm";
+    appendInt(Out, Opts.StripMine->first);
+    Out += 'x';
+    appendInt(Out, Opts.StripMine->second);
+  }
+  Out += ';';
+  Out += Opts.EnableScalarReplacement ? '1' : '0';
+  Out += Opts.EnablePeeling ? '1' : '0';
+  Out += Opts.EnableDataLayout ? '1' : '0';
+  Out += ';';
+  appendInt(Out, Opts.SR.MaxChainLength);
+  Out += ';';
+  Out += Opts.SR.EnableOuterCarriedChains ? '1' : '0';
+  Out += Opts.SR.EnableWindows ? '1' : '0';
+  Out += ';';
+  appendInt(Out, Opts.Layout.NumMemories);
   // The multi-dimensional extensions serialize to nothing when unset so
   // default-shape keys — and with them the journal replay of records
   // written before these dimensions existed — stay byte-identical.
   if (!Opts.Interchange.empty()) {
-    OS << ";ic";
-    for (size_t I = 0; I != Opts.Interchange.size(); ++I)
-      OS << (I ? "_" : "") << Opts.Interchange[I];
+    Out += ";ic";
+    for (size_t I = 0; I != Opts.Interchange.size(); ++I) {
+      if (I)
+        Out += '_';
+      appendInt(Out, Opts.Interchange[I]);
+    }
   }
   if (!Opts.Pipeline.empty())
-    OS << ";pl" << Opts.Pipeline;
-  return OS.str();
+    Out += ";pl" + Opts.Pipeline;
+  return Out;
 }
 
 std::string defacto::designCacheKeyPrefix(
     uint64_t KernelFingerprint, const TargetPlatform &Platform,
     const TransformOptions &BaseTransforms,
     std::optional<unsigned> RegisterCap) {
-  std::ostringstream OS;
-  OS << std::hex << KernelFingerprint << std::dec << '|'
-     << platformCacheKey(Platform) << '|'
-     << transformCacheKey(BaseTransforms) << '|';
-  if (RegisterCap)
-    OS << "rc" << *RegisterCap;
-  OS << '|';
-  return OS.str();
+  char Fp[17];
+  auto [End, Err] = std::to_chars(Fp, Fp + sizeof(Fp), KernelFingerprint, 16);
+  std::string Out(Fp, End);
+  Out += '|';
+  Out += platformCacheKey(Platform);
+  Out += '|';
+  Out += transformCacheKey(BaseTransforms);
+  Out += '|';
+  if (RegisterCap) {
+    Out += "rc";
+    appendInt(Out, *RegisterCap);
+  }
+  Out += '|';
+  return Out;
 }
 
 std::string defacto::designCacheKey(uint64_t KernelFingerprint,
@@ -228,6 +283,26 @@ EstimateCache::peek(const std::string &Key) const {
   if (It == S.Map.end() || !It->second.Completed)
     return std::nullopt;
   return It->second.Future.get();
+}
+
+std::optional<EstimateCache::Result>
+EstimateCache::lookupCompleted(const std::string &Key) {
+  unsigned Index = 0;
+  Shard &S = shardFor(Key, Index);
+  std::lock_guard<std::mutex> Lock(S.M);
+  auto It = S.Map.find(Key);
+  if (It == S.Map.end() || !It->second.Completed)
+    return std::nullopt;
+  Result R = It->second.Future.get(); // Ready: does not block.
+  ++NumLookups;
+  ++S.Counters.Lookups;
+  ++S.Counters.Hits;
+  ++NumHits;
+  if (!R.ok()) {
+    ++S.Counters.NegativeHits;
+    ++NumNegativeHits;
+  }
+  return R;
 }
 
 size_t EstimateCache::size() const {

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -255,9 +256,21 @@ void EvaluationJournal::recordEvaluation(const std::string &Key,
 
 void EvaluationJournal::recordJob(const JournalJobRecord &J) {
   std::lock_guard<std::mutex> Lock(M);
-  if (!Jobs.count(J.Name))
+  auto [It, Inserted] = Jobs.try_emplace(J.Name, J);
+  if (Inserted) {
     JobOrder.push_back(J.Name);
-  Jobs[J.Name] = J;
+  } else {
+    // A repeat request re-finishes its job with the identical record;
+    // the file already holds it, so skip the whole-file rewrite.
+    const JournalJobRecord &Old = It->second;
+    if (Old.Strategy == J.Strategy && Old.Selected == J.Selected &&
+        Old.Cycles == J.Cycles &&
+        std::memcmp(&Old.Slices, &J.Slices, sizeof(double)) == 0 &&
+        Old.Evaluations == J.Evaluations && Old.Degraded == J.Degraded &&
+        Old.Fits == J.Fits)
+      return;
+    It->second = J;
+  }
   (void)flushLocked();
 }
 

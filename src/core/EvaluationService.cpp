@@ -199,10 +199,10 @@ EvaluationService::invokeBackend(const Kernel &K, const DesignPoint &P,
   auto Call = [&]() -> Expected<SynthesisEstimate> {
     if (!Verified)
       return Opts.Estimator(K, Opts.Platform);
-    // The staged route already verified this kernel's lineage: the stage
-    // snapshot is verified once when built, and the stage's per-candidate
-    // unstaged fallback runs the full pipeline including its verification
-    // pass. Estimate without re-verifying per candidate.
+    // The built-in backend is estimateDesignChecked, whose first step,
+    // verifyKernel, the pipeline already ran on this kernel's lineage
+    // (the stage snapshot once when built, the unstaged route's
+    // verification pass per candidate). Estimate without repeating it.
     SynthesisEstimate Est = estimateDesign(K, Opts.Platform);
     if (Status Cancel = currentCancelStatus(); !Cancel.isOk())
       return Cancel;
@@ -248,11 +248,12 @@ EvaluationService::computeEstimate(const DesignPoint &P) const {
   // pipeline.
   bool Stageable = P.isUnrollOnly() && Opts.BaseTransforms.Pipeline.empty() &&
                    Opts.BaseTransforms.Interchange.empty();
-  // With the built-in estimator, staged candidates are verified once per
-  // stage snapshot (see TransformStageCache::buildStage) rather than once
-  // per candidate, so the pipeline's own verification pass is skipped
-  // and the estimator does not re-verify; injected backends keep both.
-  bool Verified = Stageable && DefaultEstimator;
+  // With the built-in estimator every candidate is verified once: staged
+  // ones per stage snapshot (see TransformStageCache::buildStage), which
+  // skips the staged pipeline's own verification pass, unstaged ones by
+  // applyPipeline's verification pass. The estimator then does not
+  // re-verify; injected backends keep both checks.
+  bool StageVerified = Stageable && DefaultEstimator;
 
   // Every IR node this attempt builds — the stage clone, the finished
   // pipeline, register-capped re-runs — lands in this worker's arena and
@@ -268,13 +269,13 @@ EvaluationService::computeEstimate(const DesignPoint &P) const {
   IRArenaScope Scope(&Arena);
 
   auto estimate = [&](StageRunInfo *Info) -> Expected<SynthesisEstimate> {
-    TransformResult R = Stageable ? Pipeline.run(TO, Verified, Info)
+    TransformResult R = Stageable ? Pipeline.run(TO, StageVerified, Info)
                                   : applyPipeline(Session->context(), TO);
     if (Info)
       traceStageCache(P, *Info);
     if (!R.ok())
       return R.Error;
-    return invokeBackend(R.K, P, Verified);
+    return invokeBackend(R.K, P, DefaultEstimator);
   };
   StageRunInfo Info;
   Expected<SynthesisEstimate> Est = estimate(Stageable ? &Info : nullptr);
@@ -406,6 +407,9 @@ EvaluationService::evaluateChecked(const DesignPoint &P) {
     return It->second;
   }
 
+  if (Opts.CacheOnly)
+    return evaluateCached(P);
+
   for (;;) {
     EstimateCache::Outcome Served = EstimateCache::Outcome::Miss;
     auto Found = Estimates->lookupOrBegin(cacheKey(P), &Served);
@@ -430,19 +434,7 @@ EvaluationService::evaluateChecked(const DesignPoint &P) {
     if (auto *Done = std::get_if<EstimateCache::Result>(&Found)) {
       if (Done->Attempts == 0)
         continue; // A computer abandoned the entry (transient); retry.
-      // Replay a memoized result: charge the attempts it originally cost
-      // against this run's budget, exactly as if estimated here.
-      if (Status Limit = checkLimits(); !Limit.isOk())
-        return Limit;
-      Used += Done->Attempts;
-      if (Done->ok()) {
-        Cache.emplace(P, *Done->Estimate);
-        return *Done->Estimate;
-      }
-      Status Err = Done->Estimate.status();
-      FailCache.emplace(P, Err);
-      logFailure({P.Unroll, Done->Attempts, Err, P});
-      return Err;
+      return consumeCached(P, *Done);
     }
 
     // Miss: this run owns the computation (and its retries).
@@ -513,6 +505,43 @@ EvaluationService::evaluateChecked(const DesignPoint &P) {
     logFailure({P.Unroll, Attempts, Last, P});
     return Last;
   }
+}
+
+Expected<SynthesisEstimate>
+EvaluationService::consumeCached(const DesignPoint &P,
+                                 const EstimateCache::Result &Done) {
+  // Replay a memoized result: charge the attempts it originally cost
+  // against this run's budget, exactly as if estimated here.
+  if (Status Limit = checkLimits(); !Limit.isOk())
+    return Limit;
+  Used += Done.Attempts;
+  if (Done.ok()) {
+    Cache.emplace(P, *Done.Estimate);
+    return *Done.Estimate;
+  }
+  Status Err = Done.Estimate.status();
+  FailCache.emplace(P, Err);
+  logFailure({P.Unroll, Done.Attempts, Err, P});
+  return Err;
+}
+
+Expected<SynthesisEstimate>
+EvaluationService::evaluateCached(const DesignPoint &P) {
+  if (!CacheOnlyMiss.isOk())
+    return CacheOnlyMiss;
+  std::optional<EstimateCache::Result> Done =
+      Estimates->lookupCompleted(cacheKey(P));
+  if (!Done || Done->Attempts == 0) {
+    LastCacheOutcome = "uncached";
+    ++LookupMisses;
+    CacheOnlyMiss = Status::error(
+        ErrorCode::Cancelled,
+        "cache-only search: " + P.toString() + " is not in the cache");
+    return CacheOnlyMiss;
+  }
+  LastCacheOutcome = Done->ok() ? "hit" : "negative-hit";
+  ++LookupHits;
+  return consumeCached(P, *Done);
 }
 
 void EvaluationService::logFailure(EvaluationFailure F) {
@@ -587,7 +616,7 @@ EvaluationService::evaluated(const DesignPoint &P) const {
 }
 
 void EvaluationService::fanOut(const std::vector<UnrollVector> &Candidates) {
-  if (!Opts.Pool)
+  if (!Opts.Pool || Opts.CacheOnly)
     return;
   std::vector<std::future<void>> Tasks;
   Tasks.reserve(Candidates.size());

@@ -25,7 +25,7 @@
 using namespace defacto;
 
 DEFACTO_STATISTIC(NumExplorations, "explore", "runs",
-                  "guided explorations started");
+                  "guided explorations run");
 DEFACTO_STATISTIC(NumEvaluationsSpent, "explore", "evaluations",
                   "estimator attempts charged to exploration budgets");
 DEFACTO_STATISTIC(NumDegraded, "explore", "degraded",
@@ -87,7 +87,6 @@ ExplorationResult GuidedStrategy::search(const SearchContext &SC) {
   DEFACTO_SPAN("explore.run");
   TraceSpan RunSpan(Eval.recorder(), Eval.trackLabel(), "phase",
                     "explore.run");
-  ++NumExplorations;
   ExplorationResult Res;
   Res.Strategy = name();
   Res.Sat = Sat;
@@ -347,13 +346,18 @@ ExplorationResult GuidedStrategy::search(const SearchContext &SC) {
     Res.Failures.push_back({Ucurr, 0, Stop, DesignPoint(Ucurr)});
   Res.Degraded = !Ok || !Res.Failures.empty();
   Res.EvaluationsUsed = Eval.evaluationsUsed();
-  if (Res.Degraded) {
+  if (Res.Degraded)
     Res.Trace += "degraded exploration: " +
                  std::to_string(Res.Failures.size()) +
                  " failure(s) logged\n";
-    ++NumDegraded;
+  // A cache-only search that met an uncached design is void (the daemon
+  // discards it and runs the request for real), so it counts nowhere.
+  if (!Opts.CacheOnly || Eval.cacheMisses() == 0) {
+    ++NumExplorations;
+    if (Res.Degraded)
+      ++NumDegraded;
+    NumEvaluationsSpent.add(Eval.evaluationsUsed());
   }
-  NumEvaluationsSpent.add(Eval.evaluationsUsed());
   Eval.traceSelection(Res);
   Eval.endBudget();
   return Res;

@@ -120,9 +120,17 @@ ExplorationResult pickBest(const SearchContext &SC,
   Res.Sat = Ex.saturation();
   Res.FullSpaceSize = Ex.space().fullSize();
 
-  std::vector<UnrollVector> FanOut{Ex.space().base()};
-  FanOut.insert(FanOut.end(), Candidates.begin(), Candidates.end());
-  Ex.fanOut(FanOut);
+  // The baseline is evaluated too; fan it out unless the list already
+  // holds it (the exhaustive list starts with it).
+  const UnrollVector &BaseU = Ex.space().base();
+  if (std::find(Candidates.begin(), Candidates.end(), BaseU) !=
+      Candidates.end()) {
+    Ex.fanOut(Candidates);
+  } else {
+    std::vector<UnrollVector> WithBase{BaseU};
+    WithBase.insert(WithBase.end(), Candidates.begin(), Candidates.end());
+    Ex.fanOut(WithBase);
+  }
 
   if (auto Base = Ex.evaluate(Ex.space().base())) {
     Res.BaselineEstimate = *Base;

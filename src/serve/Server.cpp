@@ -8,6 +8,7 @@
 
 #include "defacto/Core/CircuitBreaker.h"
 #include "defacto/Core/EvaluationJournal.h"
+#include "defacto/Core/SearchStrategy.h"
 #include "defacto/Frontend/Parser.h"
 #include "defacto/IR/IRUtils.h"
 #include "defacto/Kernels/Kernels.h"
@@ -18,10 +19,14 @@
 #include "defacto/Transforms/UnrollAndJam.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
-#include <future>
+#include <cstring>
+#include <fcntl.h>
+#include <poll.h>
 #include <sstream>
-#include <sys/socket.h>
+#include <unistd.h>
+#include <unordered_map>
 
 using namespace defacto;
 
@@ -36,7 +41,8 @@ DEFACTO_STATISTIC(NumServeDeadlineMisses, "serve", "deadline_misses",
 DEFACTO_STATISTIC(NumServeErrors, "serve", "errors",
                   "invalid requests answered with an error reply");
 DEFACTO_STATISTIC(NumServeBatches, "serve", "batches",
-                  "coalesced BatchExplorer runs executed");
+                  "coalesced BatchExplorer runs executed (a reply the "
+                  "event loop answers runs none)");
 
 namespace {
 
@@ -64,7 +70,8 @@ std::optional<TargetPlatform> platformByName(const std::string &Name) {
 
 } // namespace
 
-/// One admitted explore request waiting for (or receiving) its batch.
+/// One admitted explore request: replayed on the event loop, or waiting
+/// for (or receiving) its batch.
 struct DseServer::Pending {
   ServeRequest Req;
   std::shared_ptr<const KernelSession> Session;
@@ -79,10 +86,26 @@ struct DseServer::Pending {
   std::string JobName;
   /// Per-request recorder when the client asked for the decision digest.
   std::shared_ptr<TraceRecorder> DigestTrace;
-  std::promise<ServeResponse> Reply;
+  /// The connection the reply goes to.
+  uint64_t Conn = 0;
+};
+
+/// Event-loop state of one client connection. Only the loop thread
+/// touches it.
+struct DseServer::Connection {
+  UnixConnection Sock;
+  /// An explore request is queued or running on the batch worker; the
+  /// connection's next line waits for its reply.
+  bool Busy = false;
+  /// The peer closed its sending side: finish what is buffered, then
+  /// close.
+  bool ReadClosed = false;
+  /// A shutdown request was answered: close once the reply is written.
+  bool Closing = false;
 };
 
 DseServer::DseServer(ServeOptions O) : Opts(std::move(O)) {
+  Untraced = std::make_shared<TraceRecorder>();
   Cache = std::make_shared<EstimateCache>();
   StageCache = std::make_shared<TransformStageCache>();
   // Sized for the largest batch the worker coalesces; no pool when every
@@ -115,13 +138,26 @@ Status DseServer::start() {
     Journal->adopt(*Loaded);
     ResumedEvals = Journal->replayInto(*Cache);
   }
+  int Wake[2];
+  if (::pipe(Wake) != 0)
+    return Status::error(ErrorCode::Internal,
+                         std::string("pipe(): ") + std::strerror(errno));
+  for (int Fd : Wake)
+    ::fcntl(Fd, F_SETFL, ::fcntl(Fd, F_GETFL, 0) | O_NONBLOCK);
+  WakeRead = Wake[0];
+  WakeWrite = Wake[1];
   Expected<UnixListener> L = UnixListener::listenOn(Opts.SocketPath);
-  if (!L)
+  if (!L) {
+    ::close(WakeRead);
+    ::close(WakeWrite);
+    WakeRead = WakeWrite = -1;
     return L.status();
+  }
   Listener = std::move(*L);
   Stop.store(false);
+  LoopExit.store(false);
   Running.store(true);
-  AcceptThread = std::thread([this] { acceptLoop(); });
+  LoopThread = std::thread([this] { eventLoop(); });
   WorkerThread = std::thread([this] { workerLoop(); });
   return Status::ok();
 }
@@ -129,14 +165,14 @@ Status DseServer::start() {
 void DseServer::stop() {
   if (!Running.exchange(false))
     return;
+  // The loop stops accepting and answers new explores "shutting down";
+  // the worker finishes its in-flight batch and exits.
   Stop.store(true);
   QueueCV.notify_all();
   ShutdownCV.notify_all();
-  if (AcceptThread.joinable())
-    AcceptThread.join();
   if (WorkerThread.joinable())
     WorkerThread.join();
-  // Fail whatever the worker left queued so no reader waits forever.
+  // Fail whatever the worker left queued so no client waits forever.
   std::deque<std::shared_ptr<Pending>> Drained;
   {
     std::lock_guard<std::mutex> Lock(QueueM);
@@ -147,21 +183,15 @@ void DseServer::stop() {
     R.Id = P->Req.Id;
     R.RStatus = ServeStatus::Error;
     R.Reason = "daemon shutting down";
-    P->Reply.set_value(R);
+    postReply(P->Conn, R);
   }
-  {
-    std::lock_guard<std::mutex> Lock(ConnM);
-    for (int Fd : ConnFds)
-      ::shutdown(Fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> Threads;
-  {
-    std::lock_guard<std::mutex> Lock(ConnM);
-    Threads.swap(ConnThreads);
-  }
-  for (std::thread &T : Threads)
-    if (T.joinable())
-      T.join();
+  LoopExit.store(true);
+  wakeLoop();
+  if (LoopThread.joinable())
+    LoopThread.join();
+  ::close(WakeRead);
+  ::close(WakeWrite);
+  WakeRead = WakeWrite = -1;
   Listener.close();
 }
 
@@ -182,106 +212,255 @@ uint64_t DseServer::queueDepth() const {
 }
 
 //===----------------------------------------------------------------------===//
-// Accept + connection threads
+// Event loop
 //===----------------------------------------------------------------------===//
 
-void DseServer::acceptLoop() {
-  while (!Stop.load()) {
-    Expected<std::optional<UnixConnection>> Conn = Listener.acceptFor(50);
-    if (!Conn)
-      break; // listener broken; daemon keeps serving live connections
-    if (!Conn.value())
-      continue; // timeout: re-check the stop flag
-    std::lock_guard<std::mutex> Lock(ConnM);
-    if (Stop.load())
-      break;
-    ConnFds.push_back(Conn.value()->fd());
-    ConnThreads.emplace_back(
-        [this, C = std::move(*Conn.value())]() mutable {
-          connectionLoop(std::move(C));
-        });
+void DseServer::wakeLoop() {
+  // A full pipe already holds a pending wake-up, so EAGAIN is fine.
+  char Byte = 1;
+  (void)!::write(WakeWrite, &Byte, 1);
+}
+
+void DseServer::postReply(uint64_t Conn, const ServeResponse &R) {
+  bool Wake;
+  {
+    std::lock_guard<std::mutex> Lock(ReplyM);
+    // Only the first reply of a round needs a wake-up: the loop takes
+    // every queued reply when it wakes.
+    Wake = Replies.empty();
+    Replies.emplace_back(Conn, R.toJson());
+  }
+  if (Wake)
+    wakeLoop();
+}
+
+void DseServer::eventLoop() {
+  std::unordered_map<uint64_t, Connection> Conns;
+  uint64_t NextConn = 1;
+  bool Accepting = true;
+  std::vector<pollfd> Fds;
+  std::vector<uint64_t> Ids; // Fds[I + Fixed] belongs to Conns[Ids[I]]
+  std::vector<std::pair<uint64_t, std::string>> Ready;
+
+  for (;;) {
+    Fds.clear();
+    Ids.clear();
+    Fds.push_back({WakeRead, POLLIN, 0});
+    const bool Listen = Accepting && !Stop.load();
+    if (Listen)
+      Fds.push_back({Listener.fd(), POLLIN, 0});
+    const size_t Fixed = Fds.size();
+    for (auto &[Id, C] : Conns) {
+      // A busy connection waits on the worker, not the socket; reading
+      // its next line early would only let a client pipeline unbounded
+      // input. POLLHUP still reports a peer that went away.
+      short Events = 0;
+      if (C.Sock.hasPendingOutput())
+        Events = POLLOUT;
+      else if (!C.Busy && !C.ReadClosed)
+        Events = POLLIN;
+      Fds.push_back({C.Sock.fd(), Events, 0});
+      Ids.push_back(Id);
+    }
+    if (::poll(Fds.data(), Fds.size(), -1) < 0) {
+      if (errno == EINTR)
+        continue;
+      break; // cannot wait on anything; stop() still joins us
+    }
+
+    if (Fds[0].revents) {
+      char Drain[64];
+      while (::read(WakeRead, Drain, sizeof(Drain)) > 0) {
+      }
+      {
+        std::lock_guard<std::mutex> Lock(ReplyM);
+        Ready.swap(Replies);
+      }
+      for (auto &[Id, Line] : Ready) {
+        auto It = Conns.find(Id);
+        if (It == Conns.end())
+          continue; // the client left before its reply was ready
+        It->second.Busy = false;
+        It->second.Sock.queueLine(Line);
+        if (!pump(Id, It->second))
+          Conns.erase(It);
+      }
+      Ready.clear();
+      if (LoopExit.load())
+        break;
+    }
+
+    while (Listen && (Fds[1].revents & POLLIN)) {
+      Expected<std::optional<UnixConnection>> Accepted = Listener.accept();
+      if (!Accepted)
+        Accepting = false; // listener broken; keep serving live ones
+      if (!Accepted || !Accepted.value())
+        break;
+      if (Accepted.value()->setNonBlocking().isOk())
+        Conns.emplace(NextConn++, Connection{std::move(*Accepted.value())});
+    }
+
+    for (size_t I = 0; I != Ids.size(); ++I) {
+      short Revents = Fds[Fixed + I].revents;
+      if (!Revents)
+        continue;
+      auto It = Conns.find(Ids[I]);
+      if (It == Conns.end())
+        continue;
+      Connection &C = It->second;
+      bool Keep = !(Revents & (POLLERR | POLLNVAL));
+      if (Keep && (Revents & POLLIN)) {
+        Expected<bool> Open = C.Sock.fill();
+        if (!Open)
+          Keep = false; // transport error or a runaway line
+        else if (!*Open)
+          C.ReadClosed = true;
+      } else if (Revents & POLLHUP) {
+        Keep = false; // the peer is gone; nobody reads a reply
+      }
+      if (!Keep || !pump(It->first, C))
+        Conns.erase(It);
+    }
+  }
+  // Shutting down: write whatever the sockets take without blocking;
+  // the connections close as Conns goes out of scope.
+  for (auto &[Id, C] : Conns)
+    (void)C.Sock.flush();
+}
+
+bool DseServer::pump(uint64_t Id, Connection &C) {
+  for (;;) {
+    Expected<bool> Flushed = C.Sock.flush();
+    if (!Flushed)
+      return false;
+    if (!*Flushed)
+      return true; // POLLOUT resumes the pump
+    if (C.Closing)
+      return false;
+    if (C.Busy)
+      return true; // the worker's reply resumes the pump
+    std::optional<std::string> Line = C.Sock.takeLine();
+    if (!Line)
+      return !C.ReadClosed; // a partial line at EOF is dropped
+    handleLine(Id, C, *Line);
   }
 }
 
-void DseServer::connectionLoop(UnixConnection Conn) {
-  const int Fd = Conn.fd();
-  for (;;) {
-    Expected<std::optional<std::string>> Line = Conn.recvLine();
-    if (!Line || !Line.value())
-      break; // transport error or EOF
-    ServeResponse Resp;
-    Expected<ServeRequest> Req = parseServeRequest(*Line.value());
-    if (!Req) {
-      Resp.RStatus = ServeStatus::Error;
-      Resp.Reason = Req.status().message();
-      ErrorReplies.fetch_add(1);
-      ++NumServeErrors;
-      if (!Conn.sendLine(Resp.toJson()).isOk())
-        break;
-      continue;
-    }
-    if (Req->Cmd == "ping") {
-      if (!Conn.sendLine(handlePing(*Req).toJson()).isOk())
-        break;
-      continue;
-    }
-    if (Req->Cmd == "shutdown") {
-      Resp.Id = Req->Id;
-      Resp.RStatus = ServeStatus::Bye;
-      (void)Conn.sendLine(Resp.toJson());
-      requestStop();
-      break;
-    }
-
-    // Explore.
-    Requests.fetch_add(1);
-    ++NumServeRequests;
-    Resp.Id = Req->Id;
-    Expected<std::shared_ptr<Pending>> P = admitPrep(*Req);
-    if (!P) {
-      Resp.RStatus = ServeStatus::Error;
-      Resp.Reason = P.status().message();
-      ErrorReplies.fetch_add(1);
-      ++NumServeErrors;
-      emitRequestTrace(*Req, Resp);
-      if (!Conn.sendLine(Resp.toJson()).isOk())
-        break;
-      continue;
-    }
-    std::future<ServeResponse> Done = P.value()->Reply.get_future();
-    bool Admitted = false;
-    {
-      std::lock_guard<std::mutex> Lock(QueueM);
-      if (Stop.load()) {
-        Resp.RStatus = ServeStatus::Error;
-        Resp.Reason = "daemon shutting down";
-      } else if (Queue.size() >= Opts.MaxQueueDepth) {
-        Resp.RStatus = ServeStatus::Overloaded;
-        Resp.Reason = "admission queue full (depth " +
-                      std::to_string(Queue.size()) + "); retry later";
-      } else {
-        Queue.push_back(P.value());
-        Admitted = true;
-      }
-    }
-    if (!Admitted) {
-      if (Resp.RStatus == ServeStatus::Overloaded) {
-        Overloads.fetch_add(1);
-        ++NumServeOverloads;
-      }
-      emitRequestTrace(*Req, Resp);
-      if (!Conn.sendLine(Resp.toJson()).isOk())
-        break;
-      continue;
-    }
-    QueueCV.notify_one();
-    ServeResponse Final = Done.get();
-    if (!Conn.sendLine(Final.toJson()).isOk())
-      break;
+void DseServer::handleLine(uint64_t Id, Connection &C,
+                           const std::string &Line) {
+  ServeResponse Resp;
+  Expected<ServeRequest> Req = parseServeRequest(Line);
+  if (!Req) {
+    Resp.RStatus = ServeStatus::Error;
+    Resp.Reason = Req.status().message();
+    ErrorReplies.fetch_add(1);
+    ++NumServeErrors;
+    C.Sock.queueLine(Resp.toJson());
+    return;
   }
-  std::lock_guard<std::mutex> Lock(ConnM);
-  ConnFds.erase(std::remove(ConnFds.begin(), ConnFds.end(), Fd),
-                ConnFds.end());
+  if (Req->Cmd == "ping") {
+    C.Sock.queueLine(handlePing(*Req).toJson());
+    return;
+  }
+  if (Req->Cmd == "shutdown") {
+    Resp.Id = Req->Id;
+    Resp.RStatus = ServeStatus::Bye;
+    C.Sock.queueLine(Resp.toJson());
+    C.Closing = true;
+    requestStop();
+    return;
+  }
+
+  // Explore.
+  Requests.fetch_add(1);
+  ++NumServeRequests;
+  Resp.Id = Req->Id;
+  Expected<std::shared_ptr<Pending>> Admitted = admitPrep(*Req);
+  if (!Admitted) {
+    Resp.RStatus = ServeStatus::Error;
+    Resp.Reason = Admitted.status().message();
+    ErrorReplies.fetch_add(1);
+    ++NumServeErrors;
+    emitRequestTrace(*Req, Resp);
+    C.Sock.queueLine(Resp.toJson());
+    return;
+  }
+  std::shared_ptr<Pending> &P = *Admitted;
+  P->Conn = Id;
+  if (!Stop.load()) {
+    if (P->Deadline.valid() && P->Deadline.cancelled()) {
+      C.Sock.queueLine(deadlineReply(*P).toJson());
+      return;
+    }
+    if (std::optional<ServeResponse> Warm = replayWarm(*P)) {
+      C.Sock.queueLine(Warm->toJson());
+      return;
+    }
+  }
+  {
+    std::lock_guard<std::mutex> Lock(QueueM);
+    if (Stop.load()) {
+      Resp.RStatus = ServeStatus::Error;
+      Resp.Reason = "daemon shutting down";
+    } else if (Queue.size() >= Opts.MaxQueueDepth) {
+      Resp.RStatus = ServeStatus::Overloaded;
+      Resp.Reason = "admission queue full (depth " +
+                    std::to_string(Queue.size()) + "); retry later";
+    } else {
+      Queue.push_back(P);
+      C.Busy = true;
+    }
+  }
+  if (C.Busy) {
+    QueueCV.notify_one();
+    return;
+  }
+  if (Resp.RStatus == ServeStatus::Overloaded) {
+    Overloads.fetch_add(1);
+    ++NumServeOverloads;
+  }
+  emitRequestTrace(*Req, Resp);
+  C.Sock.queueLine(Resp.toJson());
+}
+
+std::optional<ServeResponse> DseServer::replayWarm(Pending &P) {
+  ExplorerOptions O = jobOptions(P);
+  O.Cache = Cache;
+  O.CacheOnly = true;
+  O.TraceLabel = P.JobName;
+  // Decision events go where the batch run would send them: the digest
+  // recorder, else the daemon's recorder. The latter receives them only
+  // once the replay completes, so an abandoned replay leaves no trace.
+  std::shared_ptr<TraceRecorder> Forward;
+  if (!O.Trace) {
+    if (recorder().enabled()) {
+      Forward = std::make_shared<TraceRecorder>();
+      Forward->setEnabled(true);
+      O.Trace = Forward;
+    } else {
+      O.Trace = Untraced;
+    }
+  }
+  EvaluationService Eval(P.Session, std::move(O));
+  std::unique_ptr<SearchStrategy> Strategy =
+      StrategyRegistry::instance().create(P.Req.Strategy);
+  ExplorationResult E = runSearch(*Strategy, Eval);
+  if (E.CacheMisses != 0) {
+    if (P.DigestTrace)
+      P.DigestTrace->clear();
+    return std::nullopt;
+  }
+  if (Forward) {
+    TraceRecorder &To = recorder();
+    double Shift = To.nowUs() - Forward->nowUs(); // onto To's time base
+    for (TraceEvent Ev : Forward->sortedEvents()) {
+      Ev.TimestampUs += Shift;
+      To.record(std::move(Ev));
+    }
+  }
+  if (Journal)
+    journalJob(*Journal, P.JobName, E);
+  return exploreReply(P, E, /*BatchSeq=*/0, /*BatchSize=*/0);
 }
 
 ServeResponse DseServer::handlePing(const ServeRequest &Req) const {
@@ -413,23 +592,80 @@ void DseServer::workerLoop() {
   }
 }
 
+ExplorerOptions DseServer::jobOptions(const Pending &P) const {
+  ExplorerOptions O;
+  O.Platform = P.Platform;
+  O.MaxEvaluations = std::max(1u, P.Req.Budget);
+  O.StageCache = StageCache;
+  O.WatchdogSeconds = Opts.WatchdogSeconds;
+  O.BaseTransforms.Pipeline = P.Req.Pipeline;
+  if (P.DigestTrace)
+    O.Trace = P.DigestTrace;
+  if (P.DeadlineAtSeconds > 0)
+    O.DeadlineSeconds = std::max(1e-3, P.DeadlineAtSeconds - nowSeconds());
+  return O;
+}
+
+ServeResponse DseServer::deadlineReply(const Pending &P) {
+  ServeResponse R;
+  R.Id = P.Req.Id;
+  R.RStatus = ServeStatus::Deadline;
+  R.Reason = "deadline expired before evaluation began";
+  R.LatencyUs = nowUs() - P.AdmitUs;
+  DeadlineMisses.fetch_add(1);
+  ++NumServeDeadlineMisses;
+  requestHistogram().record(static_cast<uint64_t>(std::max(0.0, R.LatencyUs)));
+  emitRequestTrace(P.Req, R);
+  return R;
+}
+
+ServeResponse DseServer::exploreReply(const Pending &P,
+                                      const ExplorationResult &E,
+                                      uint64_t BatchSeq, unsigned BatchSize) {
+  ServeResponse R;
+  R.Id = P.Req.Id;
+  R.RStatus = (E.Degraded || !E.SelectedFits) ? ServeStatus::Degraded
+                                              : ServeStatus::Ok;
+  R.Kernel = P.Req.Source.empty() ? P.Req.Kernel
+                                  : (P.Req.Kernel.empty() ? "custom"
+                                                          : P.Req.Kernel);
+  R.Strategy = E.Strategy.empty() ? P.Req.Strategy : E.Strategy;
+  R.Platform = P.Req.Platform;
+  R.Selected = E.SelectedPoint.isUnrollOnly()
+                   ? unrollVectorToString(E.Selected)
+                   : E.SelectedPoint.toString();
+  R.Cycles = E.SelectedEstimate.Cycles;
+  R.Slices = E.SelectedEstimate.Slices;
+  R.Speedup = E.speedup();
+  R.Evaluations = E.EvaluationsUsed;
+  R.Fits = E.SelectedFits;
+  R.Degraded = E.Degraded;
+  // Warmth is the job's own: a warm request coalesced with a cold one
+  // still reports warm.
+  R.Warm = E.CacheMisses == 0;
+  R.CacheHits = E.CacheHits;
+  R.CacheMisses = E.CacheMisses;
+  R.BatchSeq = BatchSeq;
+  R.BatchSize = BatchSize;
+  R.LatencyUs = nowUs() - P.AdmitUs;
+  if (P.DigestTrace)
+    R.Digest = digestHash(P.DigestTrace->decisionDigest());
+  if (R.Warm) {
+    WarmHits.fetch_add(1);
+    ++NumServeHits;
+  }
+  requestHistogram().record(static_cast<uint64_t>(std::max(0.0, R.LatencyUs)));
+  emitRequestTrace(P.Req, R);
+  return R;
+}
+
 void DseServer::runBatch(std::vector<std::shared_ptr<Pending>> Batch) {
   // Requests whose deadline lapsed while queued answer "deadline"
   // without spending any evaluation budget.
   std::vector<std::shared_ptr<Pending>> Live;
   for (std::shared_ptr<Pending> &P : Batch) {
     if (P->Deadline.valid() && P->Deadline.cancelled()) {
-      ServeResponse R;
-      R.Id = P->Req.Id;
-      R.RStatus = ServeStatus::Deadline;
-      R.Reason = "deadline expired before evaluation began";
-      R.LatencyUs = nowUs() - P->AdmitUs;
-      DeadlineMisses.fetch_add(1);
-      ++NumServeDeadlineMisses;
-      requestHistogram().record(
-          static_cast<uint64_t>(std::max(0.0, R.LatencyUs)));
-      emitRequestTrace(P->Req, R);
-      P->Reply.set_value(R);
+      postReply(P->Conn, deadlineReply(*P));
       continue;
     }
     Live.push_back(std::move(P));
@@ -448,63 +684,16 @@ void DseServer::runBatch(std::vector<std::shared_ptr<Pending>> Batch) {
   B.Breakers = Breakers;
   B.Trace = Opts.Trace;
   BatchExplorer Engine(B);
-  for (const std::shared_ptr<Pending> &P : Live) {
-    ExplorerOptions O;
-    O.Platform = P->Platform;
-    O.MaxEvaluations = std::max(1u, P->Req.Budget);
-    O.StageCache = StageCache;
-    O.WatchdogSeconds = Opts.WatchdogSeconds;
-    O.BaseTransforms.Pipeline = P->Req.Pipeline;
-    if (P->DigestTrace)
-      O.Trace = P->DigestTrace;
-    if (P->DeadlineAtSeconds > 0)
-      O.DeadlineSeconds = std::max(1e-3, P->DeadlineAtSeconds - nowSeconds());
+  for (const std::shared_ptr<Pending> &P : Live)
     Engine.addJob(
-        BatchJob(P->JobName, P->Session, std::move(O), P->Req.Strategy));
-  }
+        BatchJob(P->JobName, P->Session, jobOptions(*P), P->Req.Strategy));
 
   std::vector<BatchResult> Results = Engine.runAll();
 
-  for (size_t I = 0; I != Results.size() && I != Live.size(); ++I) {
-    const std::shared_ptr<Pending> &P = Live[I];
-    const ExplorationResult &E = Results[I].Result;
-    ServeResponse R;
-    R.Id = P->Req.Id;
-    R.RStatus = (E.Degraded || !E.SelectedFits) ? ServeStatus::Degraded
-                                                : ServeStatus::Ok;
-    R.Kernel = P->Req.Source.empty() ? P->Req.Kernel
-                                     : (P->Req.Kernel.empty() ? "custom"
-                                                              : P->Req.Kernel);
-    R.Strategy = E.Strategy.empty() ? P->Req.Strategy : E.Strategy;
-    R.Platform = P->Req.Platform;
-    R.Selected = E.SelectedPoint.isUnrollOnly()
-                     ? unrollVectorToString(E.Selected)
-                     : E.SelectedPoint.toString();
-    R.Cycles = E.SelectedEstimate.Cycles;
-    R.Slices = E.SelectedEstimate.Slices;
-    R.Speedup = E.speedup();
-    R.Evaluations = E.EvaluationsUsed;
-    R.Fits = E.SelectedFits;
-    R.Degraded = E.Degraded;
-    // Warmth is the job's own: a warm request coalesced with a cold one
-    // still reports warm.
-    R.Warm = E.CacheMisses == 0;
-    R.CacheHits = E.CacheHits;
-    R.CacheMisses = E.CacheMisses;
-    R.BatchSeq = Seq;
-    R.BatchSize = static_cast<unsigned>(Live.size());
-    R.LatencyUs = nowUs() - P->AdmitUs;
-    if (P->DigestTrace)
-      R.Digest = digestHash(P->DigestTrace->decisionDigest());
-    if (R.Warm) {
-      WarmHits.fetch_add(1);
-      ++NumServeHits;
-    }
-    requestHistogram().record(
-        static_cast<uint64_t>(std::max(0.0, R.LatencyUs)));
-    emitRequestTrace(P->Req, R);
-    P->Reply.set_value(R);
-  }
+  for (size_t I = 0; I != Results.size() && I != Live.size(); ++I)
+    postReply(Live[I]->Conn,
+              exploreReply(*Live[I], Results[I].Result, Seq,
+                           static_cast<unsigned>(Live.size())));
   InFlight.store(0);
 }
 

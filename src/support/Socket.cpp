@@ -8,6 +8,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -31,8 +32,10 @@ Status errnoStatus(const std::string &What) {
 UnixConnection::~UnixConnection() { close(); }
 
 UnixConnection::UnixConnection(UnixConnection &&Other) noexcept
-    : Fd(Other.Fd), Buffer(std::move(Other.Buffer)) {
+    : Fd(Other.Fd), Buffer(std::move(Other.Buffer)), Out(std::move(Other.Out)),
+      OutSent(Other.OutSent) {
   Other.Fd = -1;
+  Other.OutSent = 0;
 }
 
 UnixConnection &UnixConnection::operator=(UnixConnection &&Other) noexcept {
@@ -40,7 +43,10 @@ UnixConnection &UnixConnection::operator=(UnixConnection &&Other) noexcept {
     close();
     Fd = Other.Fd;
     Buffer = std::move(Other.Buffer);
+    Out = std::move(Other.Out);
+    OutSent = Other.OutSent;
     Other.Fd = -1;
+    Other.OutSent = 0;
   }
   return *this;
 }
@@ -89,16 +95,21 @@ Status UnixConnection::sendLine(const std::string &Line) {
   return Status::ok();
 }
 
+std::optional<std::string> UnixConnection::takeLine() {
+  size_t Newline = Buffer.find('\n');
+  if (Newline == std::string::npos)
+    return std::nullopt;
+  std::string Line = Buffer.substr(0, Newline);
+  Buffer.erase(0, Newline + 1);
+  return Line;
+}
+
 Expected<std::optional<std::string>> UnixConnection::recvLine(size_t MaxBytes) {
   if (Fd < 0)
     return Status::error(ErrorCode::InvalidInput, "recv on closed connection");
   for (;;) {
-    size_t Newline = Buffer.find('\n');
-    if (Newline != std::string::npos) {
-      std::string Line = Buffer.substr(0, Newline);
-      Buffer.erase(0, Newline + 1);
-      return std::optional<std::string>(std::move(Line));
-    }
+    if (std::optional<std::string> Line = takeLine())
+      return Line;
     if (Buffer.size() > MaxBytes)
       return Status::error(ErrorCode::InvalidInput,
                            "line exceeds " + std::to_string(MaxBytes) +
@@ -120,12 +131,67 @@ Expected<std::optional<std::string>> UnixConnection::recvLine(size_t MaxBytes) {
   }
 }
 
+Status UnixConnection::setNonBlocking() {
+  int Flags = ::fcntl(Fd, F_GETFL, 0);
+  if (Flags < 0 || ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK) != 0)
+    return errnoStatus("fcntl(O_NONBLOCK)");
+  return Status::ok();
+}
+
+Expected<bool> UnixConnection::fill(size_t MaxBytes) {
+  char Chunk[16384];
+  ssize_t N;
+  do
+    N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
+  while (N < 0 && errno == EINTR);
+  if (N < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK)
+      return true;
+    return errnoStatus("recv()");
+  }
+  if (N == 0)
+    return false;
+  Buffer.append(Chunk, static_cast<size_t>(N));
+  // Only a buffer that still lacks a newline past the bound is runaway;
+  // the scan runs only once the buffer is that large.
+  if (Buffer.size() > MaxBytes && Buffer.find('\n') == std::string::npos)
+    return Status::error(ErrorCode::InvalidInput,
+                         "line exceeds " + std::to_string(MaxBytes) +
+                             " bytes without a newline");
+  return true;
+}
+
+void UnixConnection::queueLine(const std::string &Line) {
+  Out += Line;
+  Out.push_back('\n');
+}
+
+Expected<bool> UnixConnection::flush() {
+  while (OutSent < Out.size()) {
+    ssize_t N = ::send(Fd, Out.data() + OutSent, Out.size() - OutSent,
+                       MSG_NOSIGNAL);
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK)
+        return false;
+      return errnoStatus("send()");
+    }
+    OutSent += static_cast<size_t>(N);
+  }
+  Out.clear();
+  OutSent = 0;
+  return true;
+}
+
 void UnixConnection::close() {
   if (Fd >= 0) {
     ::close(Fd);
     Fd = -1;
   }
   Buffer.clear();
+  Out.clear();
+  OutSent = 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -168,7 +234,8 @@ Expected<UnixListener> UnixListener::listenOn(const std::string &Path,
     ::close(Fd);
     return E;
   }
-  if (::listen(Fd, Backlog) != 0) {
+  if (::listen(Fd, Backlog) != 0 ||
+      ::fcntl(Fd, F_SETFL, ::fcntl(Fd, F_GETFL, 0) | O_NONBLOCK) != 0) {
     Status E = errnoStatus("listen('" + Path + "')");
     ::close(Fd);
     ::unlink(Path.c_str());
@@ -177,21 +244,13 @@ Expected<UnixListener> UnixListener::listenOn(const std::string &Path,
   return UnixListener(Fd, Path);
 }
 
-Expected<std::optional<UnixConnection>> UnixListener::acceptFor(int TimeoutMs) {
+Expected<std::optional<UnixConnection>> UnixListener::accept() {
   if (Fd < 0)
     return Status::error(ErrorCode::InvalidInput, "accept on closed listener");
-  pollfd P{Fd, POLLIN, 0};
-  int Ready = ::poll(&P, 1, TimeoutMs);
-  if (Ready < 0) {
-    if (errno == EINTR)
-      return std::optional<UnixConnection>(); // caller re-polls its stop flag
-    return errnoStatus("poll()");
-  }
-  if (Ready == 0)
-    return std::optional<UnixConnection>();
   int Conn = ::accept(Fd, nullptr, nullptr);
   if (Conn < 0) {
-    if (errno == EINTR || errno == ECONNABORTED)
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR ||
+        errno == ECONNABORTED)
       return std::optional<UnixConnection>();
     return errnoStatus("accept()");
   }

@@ -7,6 +7,7 @@
 #include "defacto/Support/Table.h"
 
 #include <cassert>
+#include <charconv>
 #include <cstdio>
 
 using namespace defacto;
@@ -84,8 +85,16 @@ std::string Table::toCsv() const {
 }
 
 std::string defacto::formatDouble(double Value, unsigned Precision) {
+  // std::to_chars prints exactly what "%.*f" prints (the standard defines
+  // it so) without printf's arbitrary-precision machinery, which made
+  // this the costliest step of a warm exploration's trace text.
   char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.*f", Precision, Value);
+  auto [End, Err] = std::to_chars(Buf, Buf + sizeof(Buf) - 1, Value,
+                                  std::chars_format::fixed,
+                                  static_cast<int>(Precision));
+  if (Err == std::errc())
+    return std::string(Buf, End);
+  std::snprintf(Buf, sizeof(Buf), "%.*f", Precision, Value); // truncates
   return Buf;
 }
 

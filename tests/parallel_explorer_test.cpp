@@ -215,8 +215,8 @@ TEST(ParallelExplorer, OnlyCandidateListsUseThePool) {
     SCOPED_TRACE(std::string(Name) + " exhaustive");
     uint64_t Before = poolSubmissions();
     ExplorationResult Fanned = exploreExhaustive(K, Par);
-    // The baseline plus every candidate.
-    EXPECT_EQ(poolSubmissions() - Before, Fanned.Visited.size() + 1);
+    // Every candidate once; the list already holds the baseline.
+    EXPECT_EQ(poolSubmissions() - Before, Fanned.Visited.size());
     expectIdentical(exploreExhaustive(K, ExplorerOptions{}), Fanned);
   }
   StatRegistry::instance().setEnabled(WasEnabled);

@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "defacto/Core/BatchExplorer.h"
+#include "defacto/Core/EvaluationJournal.h"
 #include "defacto/Serve/Server.h"
 #include "defacto/Support/MetricsSampler.h"
 #include "defacto/Kernels/Kernels.h"
@@ -24,10 +25,14 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <poll.h>
 #include <thread>
 #include <unistd.h>
 
@@ -92,8 +97,65 @@ ServeResponse receive(UnixConnection &Conn) {
   return R ? *R : ServeResponse();
 }
 
+ServeRequest exploreMM() {
+  ServeRequest Req;
+  Req.Kernel = "MM";
+  Req.Budget = 60;
+  return Req;
+}
+
+/// Holds the estimate-cache entry of \p Kernel's baseline design on the
+/// default platform, so a cold request for that kernel (its first
+/// evaluation is the baseline) blocks the batch worker until release().
+class WorkerGate {
+public:
+  WorkerGate(EstimateCache &Cache, const char *Kernel) : Cache(Cache) {
+    std::shared_ptr<const KernelSession> S =
+        KernelSession::create(buildKernel(Kernel));
+    WaitsBefore = Cache.stats().Waits;
+    auto Found = Cache.lookupOrBegin(
+        designCacheKey(S->fingerprint(), TargetPlatform::wildstarPipelined(),
+                       TransformOptions{}, S->space().base()));
+    Held = std::get<EstimateCache::Ticket>(std::move(Found));
+  }
+  ~WorkerGate() { release(); }
+
+  void waitUntilBlocked() {
+    while (Cache.stats().Waits == WaitsBefore)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  /// The blocked evaluation retries and computes the design itself.
+  void release() {
+    if (Held)
+      Cache.abandon(std::move(*Held),
+                    Status::error(ErrorCode::Cancelled, "gate released"));
+    Held.reset();
+  }
+
+private:
+  EstimateCache &Cache;
+  uint64_t WaitsBefore = 0;
+  std::optional<EstimateCache::Ticket> Held;
+};
+
+/// VmSize or Threads from /proc/self/status; 0 when unavailable.
+uint64_t procStatus(const std::string &Field) {
+  std::ifstream In("/proc/self/status");
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.compare(0, Field.size() + 1, Field + ":") == 0)
+      return std::strtoull(Line.c_str() + Field.size() + 1, nullptr, 10);
+  return 0;
+}
+
 class ServeTest : public ::testing::Test {
 protected:
+  void waitForQueueDepth(uint64_t Depth) {
+    while (Server->queueDepth() < Depth)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
   void startServer(ServeOptions Opts) {
     Opts.SocketPath = SocketPath = uniquePath("serve_test") + ".sock";
     Server = std::make_unique<DseServer>(std::move(Opts));
@@ -166,55 +228,43 @@ TEST_F(ServeTest, RepeatRequestServedWarmAndBitIdentical) {
 }
 
 TEST_F(ServeTest, WarmRequestCoalescedWithColdOneReportsWarm) {
-  startServer({});
-  Expected<UnixConnection> Setup = UnixConnection::connectTo(SocketPath);
-  ASSERT_TRUE(static_cast<bool>(Setup));
-  ServeResponse First = roundTrip(*Setup, exploreFIR());
-  ASSERT_EQ(First.RStatus, ServeStatus::Ok) << First.Reason;
+  // One pool-less worker runs a batch's jobs in order, so of two
+  // identical never-seen requests coalesced into one batch, the first
+  // computes every estimate and the second finds them all cached: a warm
+  // job beside a cold one. Both missed the cache at admission, so
+  // neither was answered on the event loop.
+  ServeOptions Opts;
+  Opts.NumThreads = 1;
+  startServer(std::move(Opts));
+  WorkerGate Gate(*Server->estimateCache(), "MM");
+  Expected<UnixConnection> Busy = UnixConnection::connectTo(SocketPath);
+  ASSERT_TRUE(static_cast<bool>(Busy));
+  ASSERT_TRUE(Busy->sendLine(exploreMM().toJson()).isOk());
+  Gate.waitUntilBlocked();
 
-  // Coalescing is timing-dependent: occupy the batch worker with a cold
-  // exhaustive exploration so the warm repeat and a never-seen kernel
-  // queue behind it and drain as one batch. Retry in the rare case the
-  // worker picks them up separately.
-  for (unsigned Attempt = 0; Attempt != 5; ++Attempt) {
-    ServeRequest Blocker = inlineFIR(100 + Attempt, 1000);
-    Blocker.Strategy = "exhaustive";
-    ServeRequest ColdReq = inlineFIR(Attempt);
-    // Admit both kernels once with a lapsed deadline: their sessions are
-    // built and stored, nothing is evaluated, and the requests below are
-    // admitted without parsing.
-    for (ServeRequest Prime : {Blocker, ColdReq}) {
-      Prime.DeadlineSeconds = 1e-9;
-      ASSERT_EQ(roundTrip(*Setup, Prime).RStatus, ServeStatus::Deadline);
-    }
+  Expected<UnixConnection> First = UnixConnection::connectTo(SocketPath);
+  Expected<UnixConnection> Second = UnixConnection::connectTo(SocketPath);
+  ASSERT_TRUE(First && Second);
+  ASSERT_TRUE(First->sendLine(exploreFIR().toJson()).isOk());
+  waitForQueueDepth(1);
+  ASSERT_TRUE(Second->sendLine(exploreFIR().toJson()).isOk());
+  waitForQueueDepth(2);
+  Gate.release();
 
-    Expected<UnixConnection> Busy = UnixConnection::connectTo(SocketPath);
-    Expected<UnixConnection> WarmConn = UnixConnection::connectTo(SocketPath);
-    Expected<UnixConnection> ColdConn = UnixConnection::connectTo(SocketPath);
-    ASSERT_TRUE(Busy && WarmConn && ColdConn);
-    ASSERT_TRUE(Busy->sendLine(Blocker.toJson()).isOk());
-    ASSERT_TRUE(WarmConn->sendLine(exploreFIR().toJson()).isOk());
-    ASSERT_TRUE(ColdConn->sendLine(ColdReq.toJson()).isOk());
-    ServeResponse Warm = receive(*WarmConn);
-    ServeResponse Cold = receive(*ColdConn);
-    receive(*Busy);
-    ASSERT_EQ(Warm.RStatus, ServeStatus::Ok) << Warm.Reason;
-    ASSERT_TRUE(Cold.RStatus == ServeStatus::Ok ||
-                Cold.RStatus == ServeStatus::Degraded)
-        << Cold.Reason;
-    if (Warm.BatchSeq != Cold.BatchSeq)
-      continue;
-    EXPECT_GE(Warm.BatchSize, 2u);
-    // Warmth is the request's own, not its batch's.
-    EXPECT_TRUE(Warm.Warm);
-    EXPECT_EQ(Warm.CacheMisses, 0u);
-    EXPECT_GT(Warm.CacheHits, 0u);
-    EXPECT_EQ(Warm.Digest, First.Digest);
-    EXPECT_FALSE(Cold.Warm);
-    EXPECT_GT(Cold.CacheMisses, 0u);
-    return;
-  }
-  FAIL() << "the warm and cold requests never shared a batch";
+  ServeResponse Cold = receive(*First);
+  ServeResponse Warm = receive(*Second);
+  EXPECT_EQ(receive(*Busy).RStatus, ServeStatus::Ok);
+  ASSERT_EQ(Cold.RStatus, ServeStatus::Ok) << Cold.Reason;
+  ASSERT_EQ(Warm.RStatus, ServeStatus::Ok) << Warm.Reason;
+  EXPECT_EQ(Warm.BatchSeq, Cold.BatchSeq);
+  EXPECT_EQ(Warm.BatchSize, 2u);
+  // Warmth is the request's own, not its batch's.
+  EXPECT_TRUE(Warm.Warm);
+  EXPECT_EQ(Warm.CacheMisses, 0u);
+  EXPECT_GT(Warm.CacheHits, 0u);
+  EXPECT_FALSE(Cold.Warm);
+  EXPECT_GT(Cold.CacheMisses, 0u);
+  EXPECT_EQ(Warm.Digest, Cold.Digest);
 }
 
 TEST_F(ServeTest, SessionStoreStaysBoundedAndEvictionKeepsAnswers) {
@@ -315,8 +365,12 @@ TEST_F(ServeTest, HotKeysMatchCommittedGoldenAnswers) {
   startServer({});
   Expected<UnixConnection> Conn = UnixConnection::connectTo(SocketPath);
   ASSERT_TRUE(static_cast<bool>(Conn));
+  std::map<std::string, std::string> ColdReply;
+  uint64_t ColdBatches = 0;
   // Twice: cold, then warm over stored sessions and cached estimates.
   for (int Pass = 0; Pass != 2; ++Pass) {
+    if (Pass == 1)
+      ColdBatches = Server->batchesRun();
     for (const auto &[Key, Want] : Hot->Members) {
       SCOPED_TRACE(Key + (Pass ? " (warm)" : " (cold)"));
       size_t A = Key.find('|'), B = Key.rfind('|');
@@ -339,8 +393,21 @@ TEST_F(ServeTest, HotKeysMatchCommittedGoldenAnswers) {
       EXPECT_EQ(Answer, Want.str("answer"));
       EXPECT_EQ(Reply->str("decision_digest"), Want.str("digest"));
       EXPECT_EQ(Reply->boolean("warm"), Pass == 1);
+      // The warm reply is the cold one, replayed on the event loop.
+      std::string Identity = Answer + ";" + Reply->str("decision_digest");
+      if (Pass == 0) {
+        ColdReply[Key] = Identity;
+      } else {
+        EXPECT_EQ(Identity, ColdReply[Key]);
+        Expected<ServeResponse> R = parseServeResponse(*Line.value());
+        ASSERT_TRUE(static_cast<bool>(R));
+        EXPECT_EQ(R->BatchSeq, 0u);
+      }
     }
   }
+  // Every warm reply came from the event loop: no batch ran for them.
+  EXPECT_EQ(Server->batchesRun(), ColdBatches);
+  EXPECT_EQ(Server->warmHits(), Hot->Members.size());
   // One session per kernel, shared by both platforms and strategies.
   EXPECT_EQ(Server->sessionCache().size(), 8u);
 }
@@ -353,6 +420,136 @@ TEST_F(ServeTest, BatchStateIsReportedPerReply) {
   EXPECT_GT(R.LatencyUs, 0.0);
   EXPECT_EQ(Server->batchesRun(), 1u);
   EXPECT_GT(Server->estimateCache()->size(), 0u);
+}
+
+TEST_F(ServeTest, WarmRequestAnsweredWhileWorkerIsBusy) {
+  startServer({});
+  ServeResponse First = oneShot(SocketPath, exploreFIR());
+  ASSERT_EQ(First.RStatus, ServeStatus::Ok) << First.Reason;
+
+  // Hold the batch worker inside a cold MM exploration.
+  WorkerGate Gate(*Server->estimateCache(), "MM");
+  Expected<UnixConnection> Busy = UnixConnection::connectTo(SocketPath);
+  ASSERT_TRUE(static_cast<bool>(Busy));
+  ASSERT_TRUE(Busy->sendLine(exploreMM().toJson()).isOk());
+  Gate.waitUntilBlocked();
+
+  // The warm repeat is answered while the worker is still held.
+  Expected<UnixConnection> WarmConn = UnixConnection::connectTo(SocketPath);
+  ASSERT_TRUE(static_cast<bool>(WarmConn));
+  ASSERT_TRUE(WarmConn->sendLine(exploreFIR().toJson()).isOk());
+  pollfd Ready{WarmConn->fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&Ready, 1, 60000), 1)
+      << "the warm request waited for the held batch worker";
+  ServeResponse Warm = receive(*WarmConn);
+  ASSERT_EQ(Warm.RStatus, ServeStatus::Ok) << Warm.Reason;
+  EXPECT_TRUE(Warm.Warm);
+  EXPECT_EQ(Warm.CacheMisses, 0u);
+  EXPECT_EQ(Warm.CacheHits, First.CacheHits + First.CacheMisses);
+  EXPECT_EQ(Warm.BatchSeq, 0u);
+  EXPECT_EQ(Warm.BatchSize, 0u);
+  EXPECT_EQ(Warm.Selected, First.Selected);
+  EXPECT_EQ(Warm.Slices, First.Slices);
+  EXPECT_EQ(Warm.Evaluations, First.Evaluations);
+  EXPECT_EQ(Warm.Digest, First.Digest);
+  EXPECT_EQ(Server->inFlightJobs(), 1u);
+  EXPECT_EQ(Server->batchesRun(), 2u);
+
+  Gate.release();
+  ServeResponse Blocked = receive(*Busy);
+  EXPECT_EQ(Blocked.RStatus, ServeStatus::Ok) << Blocked.Reason;
+  EXPECT_EQ(Blocked.BatchSeq, 2u);
+}
+
+TEST_F(ServeTest, UncachedRefinementFallsBackToTheQueue) {
+  // guided+tile walks exactly as guided does, then probes interchange
+  // and tile points. After a guided request the walk is cached but the
+  // refinement is not: the replay misses, is discarded, and the request
+  // runs as a batch that answers as a fresh daemon does.
+  ServeRequest Guided;
+  Guided.Kernel = "JAC";
+  Guided.Budget = 40;
+  Guided.WantDigest = true;
+  ServeRequest Tile = Guided;
+  Tile.Strategy = "guided+tile";
+
+  startServer({});
+  ServeResponse Walk = oneShot(SocketPath, Guided);
+  ASSERT_EQ(Walk.RStatus, ServeStatus::Ok) << Walk.Reason;
+  ServeResponse Refined = oneShot(SocketPath, Tile);
+  ASSERT_EQ(Refined.RStatus, ServeStatus::Ok) << Refined.Reason;
+  EXPECT_EQ(Refined.BatchSeq, 2u);
+  EXPECT_FALSE(Refined.Warm);
+  EXPECT_GE(Refined.CacheHits, Walk.CacheMisses);
+  EXPECT_GT(Refined.CacheMisses, 0u);
+  // Now the refinement is cached too: the repeat is replayed.
+  ServeResponse Again = oneShot(SocketPath, Tile);
+  EXPECT_EQ(Again.BatchSeq, 0u);
+  EXPECT_TRUE(Again.Warm);
+
+  ServeOptions FreshOpts;
+  FreshOpts.SocketPath = uniquePath("serve_test_fresh") + ".sock";
+  DseServer Fresh(FreshOpts);
+  ASSERT_TRUE(Fresh.start().isOk());
+  ServeResponse Want = oneShot(FreshOpts.SocketPath, Tile);
+  Fresh.stop();
+  ASSERT_EQ(Want.RStatus, ServeStatus::Ok) << Want.Reason;
+  EXPECT_NE(Want.Selected, Walk.Selected); // the refinement won
+  for (const ServeResponse *R : {&Refined, &Again}) {
+    EXPECT_EQ(R->Selected, Want.Selected);
+    EXPECT_EQ(R->Cycles, Want.Cycles);
+    EXPECT_EQ(R->Slices, Want.Slices);
+    EXPECT_EQ(R->Evaluations, Want.Evaluations);
+    // The abandoned replay's partial walk left nothing in the digest.
+    EXPECT_EQ(R->Digest, Want.Digest);
+  }
+}
+
+TEST_F(ServeTest, ReplayedRequestJournalsTheBatchRecord) {
+  // The journaled job record of a request, answered from the event loop
+  // on one daemon and by a batch on a fresh one.
+  ServeRequest Probe = exploreFIR(31);
+  auto recordOf = [&](const std::string &Journal) {
+    Expected<EvaluationJournal::Contents> C = EvaluationJournal::load(Journal);
+    EXPECT_TRUE(static_cast<bool>(C));
+    std::string Name = DseServer::requestJobName(Probe, buildKernel("FIR"));
+    for (const JournalJobRecord &J : C->Jobs)
+      if (J.Name == Name)
+        return J;
+    ADD_FAILURE() << "no job record for " << Name << " in " << Journal;
+    return JournalJobRecord();
+  };
+
+  std::string Replayed = uniquePath("serve_journal_inline") + ".jsonl";
+  ServeOptions Opts;
+  Opts.JournalPath = Replayed;
+  startServer(Opts);
+  ASSERT_EQ(oneShot(SocketPath, exploreFIR(30)).RStatus, ServeStatus::Ok);
+  // The budget is not binding, so the same walk is fully cached.
+  ServeResponse Inline = oneShot(SocketPath, Probe);
+  ASSERT_EQ(Inline.RStatus, ServeStatus::Ok) << Inline.Reason;
+  ASSERT_EQ(Inline.BatchSeq, 0u);
+  Server->stop();
+
+  std::string Batched = uniquePath("serve_journal_batch") + ".jsonl";
+  Opts.JournalPath = Batched;
+  startServer(Opts);
+  ServeResponse Cold = oneShot(SocketPath, Probe);
+  ASSERT_EQ(Cold.RStatus, ServeStatus::Ok) << Cold.Reason;
+  ASSERT_EQ(Cold.BatchSeq, 1u);
+  Server->stop();
+
+  JournalJobRecord A = recordOf(Replayed), B = recordOf(Batched);
+  EXPECT_EQ(A.Strategy, B.Strategy);
+  EXPECT_EQ(A.Selected, B.Selected);
+  EXPECT_EQ(A.Cycles, B.Cycles);
+  EXPECT_EQ(std::memcmp(&A.Slices, &B.Slices, sizeof(double)), 0);
+  EXPECT_EQ(A.Evaluations, B.Evaluations);
+  EXPECT_EQ(A.Degraded, B.Degraded);
+  EXPECT_EQ(A.Fits, B.Fits);
+  EXPECT_EQ(A.Evaluations, Inline.Evaluations);
+  std::remove(Replayed.c_str());
+  std::remove(Batched.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -492,6 +689,29 @@ TEST_F(ServeTest, GaugesRegisterOnSampler) {
     EXPECT_NE(S.JsonLine.find(std::string("\"") + Name + "\""),
               std::string::npos)
         << Name << " missing from " << S.JsonLine;
+}
+
+TEST_F(ServeTest, SequentialConnectionsDoNotGrowTheDaemon) {
+  // A client that connects once per request must not grow the daemon:
+  // no thread, stack or buffer outlives its connection.
+  startServer({});
+  ServeRequest Ping;
+  Ping.Cmd = "ping";
+  auto connectAndPing = [&] {
+    return oneShot(SocketPath, Ping).RStatus == ServeStatus::Pong;
+  };
+  // Warm-up, so the daemon's threads have their allocator arenas.
+  for (int I = 0; I != 20; ++I)
+    ASSERT_TRUE(connectAndPing());
+  uint64_t VmBefore = procStatus("VmSize"), ThreadsBefore = procStatus("Threads");
+  if (VmBefore == 0)
+    GTEST_SKIP() << "/proc/self/status is not readable here";
+  for (int I = 0; I != 500; ++I)
+    ASSERT_TRUE(connectAndPing());
+  uint64_t VmAfter = procStatus("VmSize");
+  EXPECT_LT(VmAfter, VmBefore + 64 * 1024) // kB
+      << "VmSize grew from " << VmBefore << " to " << VmAfter << " kB";
+  EXPECT_EQ(procStatus("Threads"), ThreadsBefore);
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,8 +5,11 @@
 # defacto_client over one connection — plain explores across kernels,
 # strategies, and platforms, warm repeats, one ping, one request with an
 # already-lapsed deadline, one with an unknown platform — then asserts
-# the reply-status ledger balances, the OpenMetrics exposition scrapes
-# clean (openmetrics_check), and the daemon shuts down with exit 0.
+# the reply-status ledger balances and the OpenMetrics exposition scrapes
+# clean (openmetrics_check). Then 5,000 sequential ping connections, one
+# open at a time, must leave the daemon's VmSize (within 64 MiB) and
+# thread count unchanged (Linux only: read from /proc). Last, the daemon
+# must shut down with exit 0.
 #
 # usage: serve_smoke.sh <defacto_served> <defacto_client> <openmetrics_check>
 set -u
@@ -96,6 +99,27 @@ grep -q '^defacto_cache_sessions [1-9]' "$PROM" &&
   grep -q '^defacto_cache_session_hits_total ' "$PROM" ||
   { echo "FAIL: exposition lacks the kernel-session metrics" >&2; exit 1; }
 
+# A client that connects once per request must not grow the daemon.
+CONNS=5000
+status_field() { awk -v f="$1:" '$1 == f { print $2 }' "/proc/$DAEMON/status"; }
+if [ -r "/proc/$DAEMON/status" ]; then
+  VM_BEFORE=$(status_field VmSize)
+  THREADS_BEFORE=$(status_field Threads)
+  for I in $(seq 1 $CONNS); do
+    "$CLIENT" --socket="$SOCK" --ping --expect=pong >/dev/null ||
+      { echo "FAIL: ping connection $I failed" >&2; exit 1; }
+  done
+  VM_AFTER=$(status_field VmSize)
+  THREADS_AFTER=$(status_field Threads)
+  [ $((VM_AFTER - VM_BEFORE)) -lt 65536 ] ||
+    { echo "FAIL: $CONNS sequential connections grew VmSize from $VM_BEFORE to $VM_AFTER kB" >&2; exit 1; }
+  [ "$THREADS_AFTER" -eq "$THREADS_BEFORE" ] ||
+    { echo "FAIL: $CONNS sequential connections changed the thread count from $THREADS_BEFORE to $THREADS_AFTER" >&2; exit 1; }
+  CONN_NOTE="$CONNS sequential connections (VmSize $VM_BEFORE -> $VM_AFTER kB, $THREADS_AFTER threads)"
+else
+  CONN_NOTE="sequential-connection check skipped (no /proc)"
+fi
+
 "$CLIENT" --socket="$SOCK" --shutdown --expect=bye >/dev/null ||
   { echo "FAIL: shutdown request failed" >&2; exit 1; }
 wait "$DAEMON"
@@ -106,4 +130,4 @@ if [ $STATUS -ne 0 ]; then
   exit 1
 fi
 
-echo "serve smoke: 50 requests ($OK ok, $DEGRADED degraded, 1 pong, 1 deadline, 1 error), clean scrape, clean shutdown"
+echo "serve smoke: 50 requests ($OK ok, $DEGRADED degraded, 1 pong, 1 deadline, 1 error), clean scrape, $CONN_NOTE, clean shutdown"
