@@ -4,46 +4,44 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Measures the evaluation engine (arena-allocated IR clones,
-/// transform-stage memoization, memoized estimation — see
-/// docs/PERFORMANCE.md) in four modes:
+/// Measures the evaluation engine (arena-allocated IR clones, one
+/// transform pipeline per candidate, memoized estimation — see
+/// docs/PERFORMANCE.md) in three modes:
 ///
 ///   on-cold    the paper's Figure 6 matrix-multiply kernel, exhaustive
-///              strategy, default unroll caps, with an empty
-///              TransformStageCache, so the sweep pays every stage and
-///              candidate build once;
-///   on         the same sweep over a warm shared TransformStageCache,
-///              the steady state of batch runs that revisit a kernel
-///              (multiple platforms, --repeat, portfolio strategies) —
-///              candidates are served from the cache's finished-kernel
-///              level and evaluation cost is the estimator itself;
+///              strategy, default unroll caps: every candidate is
+///              transformed and estimated once;
 ///   guided     the paper's guided walk over its five kernels on the
 ///              default platform, one after the other (the paper's
 ///              "less than 5 minutes per kernel" timing);
 ///   batch      one BatchExplorer run of guided+tile over every named
 ///              kernel on both platforms (the explore_batch shape).
 ///
-/// (The on/on-cold names predate the removal of the second, unstaged
-/// route; they are kept so bench_diff compares reports across versions.)
+/// (The on-cold name predates the removal of the transform-stage cache;
+/// it is kept so bench_diff compares reports across versions.)
 ///
-/// on-cold, on and batch run at 1, 4 and 8 threads, each thread count on
-/// a pool of exactly that many workers; guided runs at 1, because the
-/// walk is sequential. Every run uses fresh estimate caches, so each
+/// on-cold and batch run at 1, 4 and 8 threads, each thread count on a
+/// pool of exactly that many workers; guided runs at 1, because the walk
+/// is sequential. Every run uses fresh estimate caches, so each
 /// evaluation is genuinely computed: the numbers are evaluations per
 /// second of the engine, never cache replay of estimates. Rows above one
 /// thread carry their parallel efficiency, evals/sec(T) divided by
-/// T x evals/sec(1) of the same mode.
+/// T x evals/sec(1) of the same mode. Every row reports the wall time of
+/// its best repetition and the process CPU time of that repetition: a
+/// pooled row near its 1-thread wall time with CPU time near the wall
+/// time ran serialized, one with CPU time near T x the wall time ran in
+/// parallel.
 ///
 /// The run is also a parity gate: the MM decision digest must be
-/// identical at 1 and 8 threads and after a warm-cache sweep, and the MM
-/// exhaustive winner and every guided winner must equal the committed
-/// golden answers (tests/golden/paper_answers.golden). The process exits
+/// identical at 1 and 8 threads, and the MM exhaustive winner and every
+/// guided winner must equal the committed golden answers
+/// (tests/golden/paper_answers.golden). The process exits
 /// nonzero only when parity fails — never on a slow machine — so CI can
 /// run it as a smoke test (--quick caps the repetitions).
 ///
 /// Writes BENCH_eval.json (override with --json=PATH): per-row
-/// evaluations/sec, the parity verdicts, the cold MM sweep's latency
-/// percentiles and its per-phase span totals (pipeline.clone,
+/// evaluations/sec and CPU time, the parity verdicts, the cold MM sweep's
+/// latency percentiles and its per-phase span totals (pipeline.clone,
 /// pipeline.pass.*, estimator.dfg, scheduler.schedule, ...).
 ///
 //===----------------------------------------------------------------------===//
@@ -52,7 +50,6 @@
 
 #include "defacto/Core/BatchExplorer.h"
 #include "defacto/Core/Explorer.h"
-#include "defacto/Core/TransformStageCache.h"
 #include "defacto/Kernels/Kernels.h"
 #include "defacto/Support/Histogram.h"
 #include "defacto/Support/Stats.h"
@@ -60,6 +57,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -104,6 +102,11 @@ std::string goldenLine(const std::string &Kernel,
   return "";
 }
 
+/// Process CPU time, every thread included.
+double cpuSeconds() {
+  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
+}
+
 /// One timed run of a mode.
 struct Outcome {
   double Seconds = 0;
@@ -113,15 +116,13 @@ struct Outcome {
   std::vector<std::string> Digest;
 };
 
-/// One MM exhaustive sweep with a fresh estimate cache over \p Stages,
-/// fanned out on \p Pool when one is given.
+/// One MM exhaustive sweep with a fresh estimate cache, fanned out on
+/// \p Pool when one is given.
 Outcome runSweep(const Kernel &K, std::shared_ptr<ThreadPool> Pool,
-                 std::shared_ptr<TransformStageCache> Stages,
                  bool WantDigest = false) {
   ExplorerOptions Opts;
   Opts.Pool = std::move(Pool);
   Opts.Cache = std::make_shared<EstimateCache>();
-  Opts.StageCache = std::move(Stages);
 
   TraceRecorder &R = TraceRecorder::global();
   if (WantDigest) {
@@ -165,14 +166,12 @@ Outcome runBatch(const std::vector<Kernel> &Kernels, unsigned Threads,
   Batch.NumThreads = Threads;
   Batch.Pool = std::move(Pool);
   BatchExplorer Engine(Batch);
-  auto Stages = std::make_shared<TransformStageCache>();
   for (const Kernel &K : Kernels)
     for (const TargetPlatform &Platform :
          {TargetPlatform::wildstarPipelined(),
           TargetPlatform::wildstarNonPipelined()}) {
       ExplorerOptions Opts;
       Opts.Platform = Platform;
-      Opts.StageCache = Stages;
       Engine.addJob(K, std::move(Opts), "guided+tile");
     }
   double T0 = now();
@@ -189,6 +188,8 @@ struct SweepRow {
   unsigned Threads = 0;
   unsigned Repetitions = 0;
   double BestSeconds = 0;
+  /// Process CPU time of the best repetition.
+  double BestCpuSeconds = 0;
   unsigned Evaluations = 0;
   /// evals/sec over Threads x the same mode's 1-thread evals/sec; 0 at
   /// one thread.
@@ -204,9 +205,13 @@ template <typename Fn>
 SweepRow measure(const char *Mode, unsigned Threads, unsigned Reps, Fn Run) {
   SweepRow Row{Mode, Threads, Reps};
   for (unsigned I = 0; I != Reps; ++I) {
+    double Cpu0 = cpuSeconds();
     Outcome O = Run();
-    if (I == 0 || O.Seconds < Row.BestSeconds)
+    double Cpu = cpuSeconds() - Cpu0;
+    if (I == 0 || O.Seconds < Row.BestSeconds) {
       Row.BestSeconds = O.Seconds;
+      Row.BestCpuSeconds = Cpu;
+    }
     Row.Evaluations = O.Evaluations;
   }
   return Row;
@@ -269,18 +274,9 @@ int main(int argc, char **argv) {
   // Timed sweeps.
   //===------------------------------------------------------------===//
   std::vector<SweepRow> Rows;
-  for (unsigned T : ThreadCounts) {
-    // Cold: a fresh stage cache per repetition.
-    Rows.push_back(measure("on-cold", T, Reps, [&] {
-      return runSweep(K, poolFor(T), std::make_shared<TransformStageCache>());
-    }));
-    // Steady state: one shared stage cache, warmed by a discarded first
-    // sweep (batch-run usage, where jobs revisit a kernel).
-    auto Stages = std::make_shared<TransformStageCache>();
-    runSweep(K, poolFor(T), Stages);
-    Rows.push_back(measure("on", T, Reps,
-                           [&] { return runSweep(K, poolFor(T), Stages); }));
-  }
+  for (unsigned T : ThreadCounts)
+    Rows.push_back(measure("on-cold", T, Reps,
+                           [&] { return runSweep(K, poolFor(T)); }));
   Rows.push_back(
       measure("guided", 1, Reps, [&] { return runGuided(PaperKernels); }));
   for (unsigned T : ThreadCounts)
@@ -305,25 +301,12 @@ int main(int argc, char **argv) {
     return Cond;
   };
 
-  bool ThreadsMatch = false, SteadyMatch = false, GoldenMatch = false,
-       GuidedMatch = true;
+  bool ThreadsMatch = false, GoldenMatch = false, GuidedMatch = true;
   {
-    Outcome Cold1 = runSweep(K, nullptr,
-                             std::make_shared<TransformStageCache>(),
-                             /*WantDigest=*/true);
-    Outcome Cold8 = runSweep(K, poolFor(8),
-                             std::make_shared<TransformStageCache>(),
-                             /*WantDigest=*/true);
+    Outcome Cold1 = runSweep(K, nullptr, /*WantDigest=*/true);
+    Outcome Cold8 = runSweep(K, poolFor(8), /*WantDigest=*/true);
     ThreadsMatch = !Cold1.Digest.empty() && Cold1.Digest == Cold8.Digest;
     check(ThreadsMatch, "decision digest differs at 1 vs 8 threads");
-
-    // Steady state must stay bit-identical too: candidates served from
-    // the finished-kernel cache level must reproduce the cold digest.
-    auto Stages = std::make_shared<TransformStageCache>();
-    runSweep(K, nullptr, Stages);
-    Outcome Warm = runSweep(K, nullptr, Stages, /*WantDigest=*/true);
-    SteadyMatch = Cold1.Digest == Warm.Digest;
-    check(SteadyMatch, "warm-cache sweep diverged from the cold sweep");
 
     std::string Golden = goldenLine("MM", "exhaustive");
     GoldenMatch = !Golden.empty() &&
@@ -354,7 +337,7 @@ int main(int argc, char **argv) {
   {
     StatRegistry::instance().setEnabled(true);
     HistogramRegistry::global().reset();
-    runSweep(K, nullptr, std::make_shared<TransformStageCache>());
+    runSweep(K, nullptr);
     Phases = bench::phaseTimingsJson();
     for (const HistogramSnapshot &S : HistogramRegistry::global().snapshot())
       if (S.Name == "eval.latency_us") {
@@ -371,11 +354,12 @@ int main(int argc, char **argv) {
   //===------------------------------------------------------------===//
   // Report.
   //===------------------------------------------------------------===//
-  std::printf("%-8s %8s %6s %14s %14s %11s\n", "mode", "threads", "reps",
-              "best_wall_ms", "evals/sec", "efficiency");
+  std::printf("%-8s %8s %6s %14s %10s %14s %11s\n", "mode", "threads",
+              "reps", "best_wall_ms", "cpu_ms", "evals/sec", "efficiency");
   for (const SweepRow &R : Rows) {
-    std::printf("%-8s %8u %6u %14.2f %14.1f", R.Mode.c_str(), R.Threads,
-                R.Repetitions, R.BestSeconds * 1e3, R.evalsPerSec());
+    std::printf("%-8s %8u %6u %14.2f %10.2f %14.1f", R.Mode.c_str(),
+                R.Threads, R.Repetitions, R.BestSeconds * 1e3,
+                R.BestCpuSeconds * 1e3, R.evalsPerSec());
     if (R.Threads > 1)
       std::printf(" %11.2f", R.Efficiency);
     std::printf("\n");
@@ -401,6 +385,7 @@ int main(int argc, char **argv) {
        << "\", \"threads\": " << R.Threads
        << ", \"repetitions\": " << R.Repetitions
        << ", \"best_wall_seconds\": " << R.BestSeconds
+       << ", \"cpu_ms\": " << R.BestCpuSeconds * 1e3
        << ", \"evaluations\": " << R.Evaluations
        << ", \"evals_per_sec\": " << R.evalsPerSec();
     if (R.Threads > 1)
@@ -410,7 +395,6 @@ int main(int argc, char **argv) {
   OS << "  ],\n";
   OS << "  \"parity\": {\"digest_match_1_vs_8threads\": "
      << (ThreadsMatch ? "true" : "false")
-     << ", \"steady_state_match\": " << (SteadyMatch ? "true" : "false")
      << ", \"golden_winner_match\": " << (GoldenMatch ? "true" : "false")
      << ", \"golden_guided_match\": " << (GuidedMatch ? "true" : "false")
      << "},\n";

@@ -11,7 +11,7 @@
 ///   cold   first-ever requests — every exploration pays the estimator,
 ///          so latency is dominated by evaluation;
 ///   warm   the identical requests again — served from the
-///          process-lifetime EstimateCache / TransformStageCache, so
+///          process-lifetime EstimateCache and kernel-session store, so
 ///          latency is the cache walk plus protocol overhead.
 ///
 /// The run is also a correctness gate: every cold reply must report

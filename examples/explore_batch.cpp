@@ -8,13 +8,13 @@
 /// estimate cache — the deployment shape of §2.4's application class,
 /// where a whole image-processing pipeline of kernels targets one board:
 ///
-///   explore_batch [--threads N] [--strategy NAME] [--exhaustive]
-///                 [--both-platforms] [--extended] [--kernels fir,mm,...]
-///                 [--repeat N] [--pipeline=p1,p2,...] [--trace-out=PATH]
+///   explore_batch [--threads N] [--strategy NAME] [--both-platforms]
+///                 [--extended] [--kernels fir,mm,...] [--repeat N]
+///                 [--pipeline=p1,p2,...] [--trace-out=PATH]
 ///                 [--stats] [--stats-out=PATH] [--explain]
 ///                 [--journal=PATH] [--resume] [--watchdog=SECONDS]
 ///                 [--breaker-threshold=N] [--breaker-cooldown=SECONDS]
-///                 [--metrics-out=PATH] [--metrics-interval-ms=N]
+///                 [--metrics-jsonl=PATH] [--metrics-interval=SECONDS]
 ///                 [--metrics-prom=PATH]
 ///
 /// --threads sets how many jobs run at once; it defaults to the CPUs the
@@ -25,13 +25,12 @@
 /// --strategy selects any StrategyRegistry search ("guided",
 /// "exhaustive", "random", "hillclimb", "portfolio", "guided+tile", or
 /// one a caller registered); an unknown name lists the registry and
-/// exits. --exhaustive is the historical shorthand for --strategy
-/// exhaustive.
+/// exits.
 ///
 /// --pipeline overrides the transformation pass pipeline for every job
 /// with a comma-separated PassRegistry list (e.g.
 /// "normalize,unroll,fold"); an unknown pass name lists the registry and
-/// exits. Custom pipelines bypass the transform-stage cache.
+/// exits.
 ///
 /// Prints one row per job (strategy, selected design, speedup,
 /// evaluations) plus the shared cache's hit statistics. --repeat queues
@@ -49,17 +48,15 @@
 /// watchdog; --breaker-threshold enables the per-backend circuit breaker
 /// (--breaker-cooldown tunes its open interval).
 ///
-/// Live telemetry (docs/OBSERVABILITY.md "Live metrics"): --metrics-out
+/// Live telemetry (docs/OBSERVABILITY.md "Live metrics"): --metrics-jsonl
 /// appends one JSONL snapshot of every counter, histogram (phase spans
 /// included), and progress gauge per interval (write-then-rename, so
-/// `defacto_monitor` can tail it live), --metrics-interval-ms sets the
-/// sampling period (default 250), and --metrics-prom maintains an
-/// OpenMetrics/Prometheus text exposition of the latest snapshot.
+/// `defacto_monitor` can tail it live), --metrics-interval sets the
+/// sampling period in seconds (default 0.25), and --metrics-prom
+/// maintains an OpenMetrics/Prometheus text exposition of the latest
+/// snapshot. The metrics flags are spelled as defacto_served spells them.
 /// --stats-out writes the final counters + histograms as one JSON
 /// document.
-///
-/// All jobs share one transform-stage cache (docs/PERFORMANCE.md, "The
-/// evaluation route"); its hit statistics print under the table.
 ///
 /// Exit codes: 0 all jobs healthy; 3 batch completed but at least one
 /// job degraded (fault/deadline/budget/breaker); 1 runtime failure
@@ -71,7 +68,6 @@
 #include "defacto/Core/CircuitBreaker.h"
 #include "defacto/Core/EvaluationJournal.h"
 #include "defacto/Core/ExplorationReport.h"
-#include "defacto/Core/TransformStageCache.h"
 #include "defacto/IR/IRUtils.h"
 #include "defacto/Kernels/Kernels.h"
 #include "defacto/Transforms/PassRegistry.h"
@@ -94,17 +90,16 @@ int main(int Argc, char **Argv) {
   Batch.NumThreads =
       Args.consumeUnsigned("--threads").value_or(availableCores());
   std::string Strategy = Args.consumeValue("--strategy").value_or("guided");
-  if (Args.consumeFlag("--exhaustive"))
-    Strategy = "exhaustive";
   bool BothPlatforms = Args.consumeFlag("--both-platforms");
   bool Extended = Args.consumeFlag("--extended");
   bool Stats = Args.consumeFlag("--stats");
   std::string StatsOut = Args.consumeValue("--stats-out").value_or("");
   bool Explain = Args.consumeFlag("--explain");
-  std::string MetricsOut = Args.consumeValue("--metrics-out").value_or("");
+  std::string MetricsJsonl = Args.consumeValue("--metrics-jsonl").value_or("");
   std::string MetricsProm = Args.consumeValue("--metrics-prom").value_or("");
-  unsigned MetricsIntervalMs =
-      Args.consumeUnsigned("--metrics-interval-ms").value_or(250);
+  double MetricsInterval = 0.25;
+  if (std::optional<std::string> I = Args.consumeValue("--metrics-interval"))
+    MetricsInterval = std::strtod(I->c_str(), nullptr);
   std::string TraceOut = Args.consumeValue("--trace-out").value_or("");
   unsigned Repeat = Args.consumeUnsigned("--repeat").value_or(1);
   std::string Pipeline = Args.consumeValue("--pipeline").value_or("");
@@ -124,13 +119,13 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr,
                  "unknown argument '%s'\n"
                  "usage: explore_batch [--threads N] [--strategy NAME] "
-                 "[--exhaustive] [--both-platforms] [--extended] "
+                 "[--both-platforms] [--extended] "
                  "[--kernels a,b,...] [--repeat N] [--pipeline=p1,p2,...] "
                  "[--trace-out=PATH] [--stats] [--stats-out=PATH] "
                  "[--explain] [--journal=PATH] [--resume] "
                  "[--watchdog=SECONDS] [--breaker-threshold=N] "
-                 "[--breaker-cooldown=SECONDS] [--metrics-out=PATH] "
-                 "[--metrics-interval-ms=N] [--metrics-prom=PATH]\n",
+                 "[--breaker-cooldown=SECONDS] [--metrics-jsonl=PATH] "
+                 "[--metrics-interval=SECONDS] [--metrics-prom=PATH]\n",
                  Args.rest().front().c_str());
     return 2;
   }
@@ -158,7 +153,7 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  bool Metrics = !MetricsOut.empty() || !MetricsProm.empty();
+  bool Metrics = !MetricsJsonl.empty() || !MetricsProm.empty();
   // --explain renders the per-pass pipeline timing table, which needs the
   // phase spans recording.
   if (Stats || !StatsOut.empty() || Metrics || Explain)
@@ -210,11 +205,6 @@ int main(int Argc, char **Argv) {
   if (BothPlatforms)
     Platforms.push_back(TargetPlatform::wildstarNonPipelined());
 
-  // One stage cache across every job: kernels repeated across platforms
-  // and --repeat rounds share their memoized pipeline prefixes the same
-  // way they share the estimate cache.
-  auto StageCache = std::make_shared<TransformStageCache>();
-
   std::vector<BatchJob> Jobs;
   for (unsigned Round = 0; Round != std::max(1u, Repeat); ++Round)
     for (const std::string &Name : Names) {
@@ -226,7 +216,6 @@ int main(int Argc, char **Argv) {
         ExplorerOptions Opts;
         Opts.Platform = Platform;
         Opts.WatchdogSeconds = WatchdogSeconds;
-        Opts.StageCache = StageCache;
         Opts.BaseTransforms.Pipeline = Pipeline;
         std::string Label = Name + " @ " + Platform.Name;
         if (Round > 0)
@@ -255,8 +244,8 @@ int main(int Argc, char **Argv) {
   std::unique_ptr<MetricsSampler> Sampler;
   if (Metrics) {
     MetricsSamplerOptions SamplerOpts;
-    SamplerOpts.IntervalSeconds = MetricsIntervalMs / 1000.0;
-    SamplerOpts.JsonlPath = MetricsOut;
+    SamplerOpts.IntervalSeconds = MetricsInterval;
+    SamplerOpts.JsonlPath = MetricsJsonl;
     SamplerOpts.PromPath = MetricsProm;
     Sampler = std::make_unique<MetricsSampler>(std::move(SamplerOpts));
     Sampler->setGauge("jobs_total", [&Engine] {
@@ -299,8 +288,8 @@ int main(int Argc, char **Argv) {
     }
     std::printf("metrics: %llu sample(s)%s%s%s%s\n\n",
                 static_cast<unsigned long long>(Sampler->samples()),
-                MetricsOut.empty() ? "" : " -> ",
-                MetricsOut.c_str(),
+                MetricsJsonl.empty() ? "" : " -> ",
+                MetricsJsonl.c_str(),
                 MetricsProm.empty() ? "" : ", prom -> ",
                 MetricsProm.c_str());
   }
@@ -340,16 +329,6 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(CacheStats.NegativeHits),
               static_cast<unsigned long long>(CacheStats.Waits),
               Engine.estimateCache()->size());
-
-  TransformStageCache::Stats StageStats = StageCache->stats();
-  std::printf("stage cache:  %llu lookups, %llu hits (%.1f%% hit rate), "
-              "%llu waits, %llu evicted, %zu stage(s) resident\n",
-              static_cast<unsigned long long>(StageStats.Lookups),
-              static_cast<unsigned long long>(StageStats.Hits),
-              100.0 * StageStats.hitRate(),
-              static_cast<unsigned long long>(StageStats.Waits),
-              static_cast<unsigned long long>(StageStats.Evictions),
-              StageCache->size());
 
   if (Explain) {
     ReportOptions Report;

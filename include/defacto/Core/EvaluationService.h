@@ -40,7 +40,6 @@
 #include "defacto/Core/EstimateCache.h"
 #include "defacto/Core/KernelSession.h"
 #include "defacto/Core/Saturation.h"
-#include "defacto/Core/TransformStageCache.h"
 #include "defacto/HLS/Estimator.h"
 #include "defacto/Support/Error.h"
 #include "defacto/Support/ThreadPool.h"
@@ -83,8 +82,10 @@ struct ExplorerOptions {
   // what one exploration may spend on it and how it recovers.
   //===--------------------------------------------------------------===//
 
-  /// Estimation backend; estimateDesignChecked when unset. FaultInjector
-  /// (HLS/FaultInjector.h) wraps one backend in a fault-injecting one.
+  /// Estimation backend; the built-in estimator when unset (the service
+  /// leaves it unset, so options() copies keep the built-in backend).
+  /// FaultInjector (HLS/FaultInjector.h) wraps one backend in a
+  /// fault-injecting one.
   EstimatorFn Estimator;
   /// Extra attempts after a failed estimation of the same design. A
   /// design failing all 1 + MaxRetries attempts is negatively cached and
@@ -141,11 +142,6 @@ struct ExplorerOptions {
   /// exactly as before.
   std::shared_ptr<EstimateCache> Cache;
 
-  /// Transform-stage snapshots (memoized pipeline prefixes and finished
-  /// candidates) shared across explorers, runs, and threads. Unset: the
-  /// service creates a private cache.
-  std::shared_ptr<TransformStageCache> StageCache;
-
   /// Answer only from completed Cache entries: the daemon's replay of a
   /// request on its event loop. A lookup takes no ticket, waits for
   /// nothing and never reaches the estimator; a hit charges its recorded
@@ -192,8 +188,8 @@ struct EvaluationFailure {
 /// only once that work has finished.
 class EvaluationService {
 public:
-  /// Normalizes \p Opts (default estimator/clock/sleep, private cache
-  /// when none is shared) over \p Session's search context: saturation
+  /// Normalizes \p Opts (default clock/sleep, private cache when none is
+  /// shared) over \p Session's search context: saturation
   /// (Psat for Opts.Platform), the unroll space, the normalized pipeline
   /// context, and the §5.3 unroll preference order.
   EvaluationService(std::shared_ptr<const KernelSession> Session,
@@ -219,8 +215,6 @@ public:
   /// (unroll + optional interchange/tile) under the same degradation
   /// policy and caches. For an unroll-only point this is bit-identical
   /// to evaluateChecked(P.Unroll) — same cache key, same trace events.
-  /// Non-unroll-only points run the unstaged pipeline: the stage-cache
-  /// factorization is only proven for the default shape.
   Expected<SynthesisEstimate> evaluateChecked(const DesignPoint &P);
 
   /// evaluate() over a design point.
@@ -254,7 +248,8 @@ public:
   const std::shared_ptr<const KernelSession> &session() const {
     return Session;
   }
-  /// The normalized options (never-null Estimator/Clock/Sleep).
+  /// The normalized options (never-null Clock/Sleep; Estimator stays
+  /// empty for the built-in backend).
   const ExplorerOptions &options() const { return Opts; }
   const UnrollSpace &space() const { return Session->space(); }
   /// The generalized space composing the unroll lattice with interchange
@@ -353,29 +348,24 @@ public:
 private:
   /// One raw estimation attempt: transform pipeline + estimator (+ the
   /// §5.4 register-cap shrink loop). Thread-safe: touches only the
-  /// shared read-only PipelineContext, the stage cache, and the options.
+  /// shared read-only PipelineContext and the options.
   /// The single instrumentation chokepoint: records eval.latency_us and
   /// the estimate.* distributions, and tracks the in-flight gauge.
   Expected<SynthesisEstimate> computeRaw(const DesignPoint &P) const;
-  /// computeRaw minus instrumentation. Every IR node the attempt builds
-  /// lands in this worker's arena. Unroll-only points of the default
-  /// pipeline shape run StagedPipeline; interchange/tile
-  /// points and custom pipelines fall back to applyPipeline (the stage
-  /// factorization is only proven for the default shape).
+  /// computeRaw minus instrumentation: one applyPipeline over the
+  /// session's context per attempt, whatever the point's shape or the
+  /// pass pipeline. Every IR node the attempt builds lands in this
+  /// worker's arena.
   Expected<SynthesisEstimate> computeEstimate(const DesignPoint &P) const;
   /// The per-point transform configuration: BaseTransforms plus the
   /// point's unroll vector (and interchange/tile when set) plus the
   /// platform's memory count.
   TransformOptions transformOptionsFor(const DesignPoint &P) const;
   /// The estimator seam: invocation timing, the hang watchdog, the
-  /// dse.cancel trace event. \p Verified (the built-in backend over a
-  /// kernel the pipeline already verified) estimates without
-  /// re-verifying \p K.
+  /// dse.cancel trace event. The built-in backend estimates \p K without
+  /// re-verifying it: the pipeline's verification pass already did.
   Expected<SynthesisEstimate> invokeBackend(const Kernel &K,
-                                            const DesignPoint &P,
-                                            bool Verified) const;
-  /// Emits one run-variant "dse.stagecache" trace event.
-  void traceStageCache(const DesignPoint &P, const StageRunInfo &Info) const;
+                                            const DesignPoint &P) const;
   std::string cacheKey(const DesignPoint &P) const;
   /// Consumes a completed shared-cache entry: charges its attempts and
   /// records it in this run's success or failure map.
@@ -395,13 +385,6 @@ private:
   ExplorerOptions Opts;
   SaturationInfo Sat; // the session's, with Psat for Opts.Platform
   std::shared_ptr<EstimateCache> Estimates; // never null
-  /// The staged pipeline over the session's context and the stage cache
-  /// from the options (or a private one).
-  StagedPipeline Pipeline;
-  /// No estimator was injected, i.e. the backend is the built-in checked
-  /// estimator — the precondition for estimating candidates without
-  /// re-verifying them.
-  bool DefaultEstimator = false;
   std::map<DesignPoint, SynthesisEstimate> Cache; // this run's successes
   std::map<DesignPoint, Status> FailCache; // this run's permanent failures
   /// Bounded failure ring: oldest entry at FailLogStart once the ring

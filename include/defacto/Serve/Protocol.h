@@ -126,7 +126,6 @@ struct ServeResponse {
 
   // Ping extras.
   uint64_t CacheDesigns = 0;
-  uint64_t StageCacheEntries = 0;
   uint64_t SessionEntries = 0;
   uint64_t Requests = 0;
   unsigned ResumedEvaluations = 0;

@@ -10,8 +10,8 @@
 /// keeps every expensive cache warm across requests. The paper prunes
 /// ~99.7% of the design space per query; the server amortizes the rest
 /// across queries — a repeat or near-repeat request consumes memoized
-/// estimates and transform-stage snapshots instead of re-running the
-/// synthesis estimator.
+/// estimates and kernel sessions instead of re-running the synthesis
+/// estimator.
 ///
 /// Architecture (one DseServer instance per daemon):
 ///
@@ -30,9 +30,9 @@
 ///        │                              (backpressure, the 429 analogue)
 ///        ▼
 ///   batch worker: drains up to MaxBatch queued requests, coalesces them
-///   into ONE BatchExplorer run over the process-lifetime EstimateCache /
-///   TransformStageCache / worker pool, and hands each reply back to the
-///   loop (a wake-up pipe), which writes it
+///   into ONE BatchExplorer run over the process-lifetime EstimateCache
+///   and worker pool, and hands each reply back to the loop (a wake-up
+///   pipe), which writes it
 ///
 /// The daemon runs a fixed set of threads — the loop, the batch worker
 /// and the pool — however many connections it has served.
@@ -166,9 +166,6 @@ public:
   const std::shared_ptr<EstimateCache> &estimateCache() const {
     return Cache;
   }
-  const std::shared_ptr<TransformStageCache> &stageCache() const {
-    return StageCache;
-  }
   const KernelSessionCache &sessionCache() const { return Sessions; }
 
   /// Journal entries replayed into the cache at start().
@@ -184,7 +181,7 @@ public:
   uint64_t inFlightJobs() const { return InFlight.load(); }
 
   /// Registers the daemon's gauges (serve_queue_depth, serve_in_flight,
-  /// cache_designs, cache_sessions, stage_entries, in_flight_evals,
+  /// cache_designs, cache_sessions, in_flight_evals,
   /// breakers_open) on \p Sampler. Call before Sampler.start().
   void registerGauges(MetricsSampler &Sampler);
 
@@ -229,7 +226,6 @@ private:
 
   // Process-lifetime warm state, shared by every served batch.
   std::shared_ptr<EstimateCache> Cache;
-  std::shared_ptr<TransformStageCache> StageCache;
   std::shared_ptr<ThreadPool> Pool; // null when batches run inline
   std::shared_ptr<CircuitBreakerRegistry> Breakers;
   std::shared_ptr<EvaluationJournal> Journal;

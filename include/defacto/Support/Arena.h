@@ -20,8 +20,8 @@
 /// wholesale by `IRArena::reset()`.
 ///
 /// Passing nullptr to `IRArenaScope` suspends arena allocation, which is
-/// how long-lived kernels (e.g. memoized transform stages shared across
-/// threads) are built on the heap from inside an arena-backed region.
+/// how a kernel that must outlive the arena's next reset() is built on
+/// the heap from inside an arena-backed region.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -86,19 +86,6 @@ struct TransformResult {
 TransformResult applyPipeline(const Kernel &Source,
                               const TransformOptions &Opts);
 
-/// The pipeline stages downstream of unroll-and-jam + renormalization:
-/// scalar replacement, peeling, constant folding, data layout, and —
-/// unless \p SkipVerify — final IR verification. \p Staged must already
-/// be strip-mined (if requested), unrolled, and normalized; callers that
-/// memoize that prefix (TransformStageCache) clone the snapshot and
-/// resume here. Opts.Unroll/Opts.StripMine are not consulted.
-/// \p UnrollApplied is recorded verbatim in the result. \p ErrorFallback
-/// is cloned only on failure. SkipVerify is sound only when the consumer
-/// re-verifies (estimateDesignChecked does).
-TransformResult finishPipeline(Kernel Staged, const TransformOptions &Opts,
-                               const Kernel &ErrorFallback,
-                               bool UnrollApplied, bool SkipVerify = false);
-
 /// Unroll-invariant per-kernel state, hoisted out of the per-design path:
 /// the source kernel normalized exactly once. A context is immutable
 /// after construction and safe to share read-only across the exploration
@@ -124,13 +111,11 @@ public:
   /// safe to share across worker threads.
   const AnalysisManager &analyses() const { return Analyses; }
 
-  /// kernelFingerprint() of the normalized kernel, computed once at
-  /// construction (the stage cache keys its snapshots by it).
-  uint64_t fingerprint() const { return Fingerprint; }
-
 private:
   Kernel Normalized;
   AnalysisManager Analyses;
+  /// kernelFingerprint(Normalized) at construction, assertUnchanged()'s
+  /// reference; computed only in builds with assertions.
   uint64_t Fingerprint = 0;
 };
 

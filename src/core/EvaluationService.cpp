@@ -35,16 +35,7 @@ EvaluationService::EvaluationService(
     : Session(std::move(Session)), Opts(std::move(Opts)),
       Sat(this->Session->saturation(this->Opts.Platform.NumMemories)),
       Estimates(this->Opts.Cache ? this->Opts.Cache
-                                 : std::make_shared<EstimateCache>()),
-      Pipeline(this->Session->context(),
-               this->Opts.StageCache
-                   ? this->Opts.StageCache
-                   : std::make_shared<TransformStageCache>()) {
-  DefaultEstimator = !this->Opts.Estimator;
-  if (!this->Opts.Estimator)
-    this->Opts.Estimator = [](const Kernel &K, const TargetPlatform &P) {
-      return estimateDesignChecked(K, P);
-    };
+                                 : std::make_shared<EstimateCache>()) {
   if (!this->Opts.Clock)
     this->Opts.Clock = [] {
       return std::chrono::duration<double>(
@@ -188,8 +179,8 @@ void EvaluationService::traceSelection(const ExplorationResult &Res) {
 }
 
 Expected<SynthesisEstimate>
-EvaluationService::invokeBackend(const Kernel &K, const DesignPoint &P,
-                                 bool Verified) const {
+EvaluationService::invokeBackend(const Kernel &K,
+                                 const DesignPoint &P) const {
   // Estimation backends are arbitrary callables (a real synthesis tool
   // behind a wrapper); time every invocation at this seam. The hang
   // watchdog arms a fresh deadline token per invocation: a cooperative
@@ -197,12 +188,11 @@ EvaluationService::invokeBackend(const Kernel &K, const DesignPoint &P,
   // loops; a FaultInjector hang polls between simulated sleeps) observes
   // it thread-locally and returns ErrorCode::Cancelled.
   auto Call = [&]() -> Expected<SynthesisEstimate> {
-    if (!Verified)
+    if (Opts.Estimator)
       return Opts.Estimator(K, Opts.Platform);
-    // The built-in backend is estimateDesignChecked, whose first step,
-    // verifyKernel, the pipeline already ran on this kernel's lineage
-    // (the stage snapshot once when built, the unstaged route's
-    // verification pass per candidate). Estimate without repeating it.
+    // The built-in backend: estimateDesignChecked minus its first step,
+    // verifyKernel, which the pipeline's verification pass already ran
+    // on this kernel.
     SynthesisEstimate Est = estimateDesign(K, Opts.Platform);
     if (Status Cancel = currentCancelStatus(); !Cancel.isOk())
       return Cancel;
@@ -242,21 +232,9 @@ EvaluationService::invokeBackend(const Kernel &K, const DesignPoint &P,
 Expected<SynthesisEstimate>
 EvaluationService::computeEstimate(const DesignPoint &P) const {
   TransformOptions TO = transformOptionsFor(P);
-  // The stage-cache factorization (strip-mine/unroll/normalize prefix +
-  // finishPipeline) is only proven for the default pipeline shape:
-  // interchange/tile points and custom pass pipelines run the unstaged
-  // pipeline.
-  bool Stageable = P.isUnrollOnly() && Opts.BaseTransforms.Pipeline.empty() &&
-                   Opts.BaseTransforms.Interchange.empty();
-  // With the built-in estimator every candidate is verified once: staged
-  // ones per stage snapshot (see TransformStageCache::buildStage), which
-  // skips the staged pipeline's own verification pass, unstaged ones by
-  // applyPipeline's verification pass. The estimator then does not
-  // re-verify; injected backends keep both checks.
-  bool StageVerified = Stageable && DefaultEstimator;
 
-  // Every IR node this attempt builds — the stage clone, the finished
-  // pipeline, register-capped re-runs — lands in this worker's arena and
+  // Every IR node this attempt builds — the clone, the transformed
+  // kernel, register-capped re-runs — lands in this worker's arena and
   // is released in one bump-pointer reset instead of node-by-node
   // deletes. The guard is declared before the scope so the reset runs
   // only after the TransformResults below are destroyed and the arena
@@ -268,28 +246,25 @@ EvaluationService::computeEstimate(const DesignPoint &P) const {
   } Guard{Arena};
   IRArenaScope Scope(&Arena);
 
-  auto estimate = [&](StageRunInfo *Info) -> Expected<SynthesisEstimate> {
-    TransformResult R = Stageable ? Pipeline.run(TO, StageVerified, Info)
-                                  : applyPipeline(Session->context(), TO);
-    if (Info)
-      traceStageCache(P, *Info);
+  // The pipeline's verification pass checks every candidate once; an
+  // injected backend may check again, the built-in one does not.
+  auto estimate = [&]() -> Expected<SynthesisEstimate> {
+    TransformResult R = applyPipeline(Session->context(), TO);
     if (!R.ok())
       return R.Error;
-    return invokeBackend(R.K, P, DefaultEstimator);
+    return invokeBackend(R.K, P);
   };
-  StageRunInfo Info;
-  Expected<SynthesisEstimate> Est = estimate(Stageable ? &Info : nullptr);
+  Expected<SynthesisEstimate> Est = estimate();
 
   // §5.4: shrink reuse chains until the register budget is met. Less
   // reuse is exploited, slowing the fetch rate; the smaller design may
-  // then afford more operator parallelism. Staged re-runs only vary the
-  // post-stage passes, so they clone the same memoized stage.
+  // then afford more operator parallelism.
   if (Opts.RegisterCap) {
     unsigned ChainLimit = TO.SR.MaxChainLength;
     while (Est && Est->Registers > *Opts.RegisterCap && ChainLimit > 1) {
       ChainLimit /= 2;
       TO.SR.MaxChainLength = ChainLimit;
-      Est = estimate(nullptr);
+      Est = estimate();
     }
   }
   return Est;
@@ -334,29 +309,6 @@ EvaluationService::computeRaw(const DesignPoint &P) const {
     SlicesHist.record(static_cast<uint64_t>(std::max(Est->Slices, 0.0)));
   }
   return Est;
-}
-
-void EvaluationService::traceStageCache(const DesignPoint &P,
-                                        const StageRunInfo &Info) const {
-  TraceRecorder &R = recorder();
-  if (!R.enabled())
-    return;
-  TraceEvent Ev;
-  Ev.Track = Track;
-  Ev.Category = "dse.stagecache";
-  Ev.Name = P.toString();
-  const char *Outcome =
-      Info.Outcome == TransformStageCache::Outcome::Hit    ? "hit"
-      : Info.Outcome == TransformStageCache::Outcome::Wait ? "wait"
-                                                           : "miss";
-  // Which worker builds a stage depends on scheduling, so the whole
-  // payload is run-variant Runtime detail — never in the decision
-  // digest.
-  Ev.Runtime = {{"staged", Info.Staged ? "1" : "0"},
-                {"outcome", Outcome},
-                {"final", Info.FinalHit ? "1" : "0"},
-                {"key", Info.Key}};
-  R.record(std::move(Ev));
 }
 
 void EvaluationService::beginBudget(unsigned MaxEvaluations) {

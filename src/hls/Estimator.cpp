@@ -52,12 +52,8 @@ struct Totals {
   }
 };
 
-/// Per-thread memo of list-scheduling results, keyed by the exact DFG
-/// content plus every platform field scheduleSegment() consults. The
-/// unrolled bodies a DSE sweep schedules repeat the same straight-line
-/// segments across candidates, so hits are the common case; a hit
-/// returns the bit-identical SegmentSchedule the scheduler would have
-/// produced (the key is compared exactly, never just by hash).
+/// Key of the per-thread schedule memo: a segment's structural blob
+/// (SegmentEncoder), compared exactly, never just by hash.
 using ScheduleMemoKey = std::vector<uint64_t>;
 
 struct ScheduleMemoKeyHash {
@@ -71,54 +67,6 @@ struct ScheduleMemoKeyHash {
   }
 };
 
-ScheduleMemoKey scheduleMemoKey(const DFG &Graph, const TargetPlatform &P) {
-  ScheduleMemoKey Blob;
-  Blob.reserve(Graph.Nodes.size() * 5 + 6);
-  uint64_t PeriodBits = 0;
-  static_assert(sizeof(PeriodBits) == sizeof(P.ClockPeriodNs));
-  std::memcpy(&PeriodBits, &P.ClockPeriodNs, sizeof(PeriodBits));
-  Blob.push_back(PeriodBits);
-  Blob.push_back(P.NumMemories);
-  Blob.push_back(P.Timing.ReadLatencyCycles);
-  Blob.push_back(P.Timing.WriteLatencyCycles);
-  Blob.push_back(P.Timing.Pipelined);
-  Blob.push_back(P.OperatorChaining);
-  for (const DFGNode &Node : Graph.Nodes) {
-    Blob.push_back((static_cast<uint64_t>(Node.NodeKind) << 32) |
-                   static_cast<uint64_t>(Node.Class));
-    Blob.push_back(Node.WidthBits);
-    Blob.push_back(static_cast<uint64_t>(static_cast<int64_t>(Node.Port)));
-    Blob.push_back(Node.Preds.size());
-    for (unsigned Pred : Node.Preds)
-      Blob.push_back(Pred);
-  }
-  return Blob;
-}
-
-SegmentSchedule memoizedScheduleSegment(const DFG &Graph,
-                                        const TargetPlatform &P) {
-  // One memo per worker thread: no sharing, no locks, dropped with the
-  // thread. The clear-on-overflow bound keeps a pathological sweep from
-  // growing it without limit; eviction is transparent to results.
-  constexpr size_t MaxMemoEntries = 512;
-  thread_local std::unordered_map<ScheduleMemoKey, SegmentSchedule,
-                                  ScheduleMemoKeyHash>
-      Memo;
-  ScheduleMemoKey Key = scheduleMemoKey(Graph, P);
-  auto It = Memo.find(Key);
-  if (It != Memo.end())
-    return It->second;
-  SegmentSchedule Sched = scheduleSegment(Graph, P);
-  // A watchdog cancellation can truncate the schedule mid-walk; never
-  // memoize a potentially partial result.
-  if (!currentCancelled()) {
-    if (Memo.size() >= MaxMemoEntries)
-      Memo.clear();
-    Memo.emplace(std::move(Key), Sched);
-  }
-  return Sched;
-}
-
 /// Serializes one straight-line segment into the u64 blob that determines
 /// its DFG — and therefore its schedule — exactly. Replicated code is what
 /// makes the memo pay: unrolled copies and peeled prologues differ
@@ -130,8 +78,8 @@ SegmentSchedule memoizedScheduleSegment(const DFG &Graph,
 /// address generation, free in the DFG); literal values are encoded
 /// because operand widths and the const-multiply classification read
 /// them. Sound only when widths come from declarations or are uniform —
-/// range-inferred widths are whole-kernel state, and those platforms take
-/// the DFG-keyed memo instead.
+/// range-inferred widths are whole-kernel state, and those platforms
+/// schedule every segment afresh.
 class SegmentEncoder {
 public:
   SegmentEncoder(const std::function<int(const ArrayAccessExpr *)> &PortOf)
@@ -256,9 +204,10 @@ private:
   std::unordered_map<const ScalarDecl *, uint64_t> Alpha;
 };
 
-/// Schedule memo keyed by the structural blob instead of the built DFG:
-/// a hit skips the DFG construction outright, which is the bulk of the
-/// estimator's per-segment cost once scheduling itself is memoized.
+/// Per-thread schedule memo keyed by the structural blob: the unrolled
+/// bodies a DSE sweep schedules repeat the same straight-line segments
+/// across candidates, and a hit skips both the DFG construction and the
+/// list scheduler, returning the bit-identical SegmentSchedule.
 SegmentSchedule memoizedScheduleStructural(
     const std::vector<const Stmt *> &Segment, const TargetPlatform &P,
     const std::function<int(const ArrayAccessExpr *)> &PortOf,
@@ -361,15 +310,11 @@ private:
         // Structural memo: alpha-equivalent segments (the common case
         // across unrolled candidates) share one schedule without ever
         // building the DFG. Range-inferred widths depend on whole-kernel
-        // state, so those platforms keep the DFG-keyed memo below.
+        // state, so those platforms schedule the segment afresh.
         Sched = memoizedScheduleStructural(Segment, P, PortFn, WidthOf);
       } else {
-        std::optional<DFG> Graph;
-        {
-          DEFACTO_SPAN("estimator.dfg");
-          Graph.emplace(buildSegmentDFG(Segment, PortFn, WidthOf));
-        }
-        Sched = memoizedScheduleSegment(*Graph, P);
+        DEFACTO_SPAN("estimator.dfg");
+        Sched = scheduleSegment(buildSegmentDFG(Segment, PortFn, WidthOf), P);
       }
       T.Joint += Sched.JointCycles;
       T.MemOnly += Sched.MemOnlyCycles;

@@ -145,7 +145,6 @@ std::string ServeResponse::toJson() const {
   }
   if (RStatus == ServeStatus::Pong)
     OS << ",\"cache_designs\":" << CacheDesigns
-       << ",\"stage_entries\":" << StageCacheEntries
        << ",\"session_entries\":" << SessionEntries
        << ",\"requests\":" << Requests
        << ",\"resumed_evals\":" << ResumedEvaluations;
@@ -190,7 +189,6 @@ Expected<ServeResponse> defacto::parseServeResponse(const std::string &Line) {
   R.LatencyUs = V.num("latency_us");
   R.Digest = V.str("decision_digest");
   R.CacheDesigns = V.uint("cache_designs");
-  R.StageCacheEntries = V.uint("stage_entries");
   R.SessionEntries = V.uint("session_entries");
   R.Requests = V.uint("requests");
   R.ResumedEvaluations = static_cast<unsigned>(V.uint("resumed_evals"));

@@ -107,7 +107,6 @@ struct DseServer::Connection {
 DseServer::DseServer(ServeOptions O) : Opts(std::move(O)) {
   Untraced = std::make_shared<TraceRecorder>();
   Cache = std::make_shared<EstimateCache>();
-  StageCache = std::make_shared<TransformStageCache>();
   // Sized for the largest batch the worker coalesces; no pool when every
   // batch would run inline anyway.
   if (unsigned N = batchThreads(Opts.NumThreads, Opts.MaxBatch); N > 1)
@@ -468,7 +467,6 @@ ServeResponse DseServer::handlePing(const ServeRequest &Req) const {
   R.Id = Req.Id;
   R.RStatus = ServeStatus::Pong;
   R.CacheDesigns = Cache->size();
-  R.StageCacheEntries = StageCache->size();
   R.SessionEntries = Sessions.size();
   R.Requests = Requests.load();
   R.ResumedEvaluations = ResumedEvals;
@@ -596,7 +594,6 @@ ExplorerOptions DseServer::jobOptions(const Pending &P) const {
   ExplorerOptions O;
   O.Platform = P.Platform;
   O.MaxEvaluations = std::max(1u, P.Req.Budget);
-  O.StageCache = StageCache;
   O.WatchdogSeconds = Opts.WatchdogSeconds;
   O.BaseTransforms.Pipeline = P.Req.Pipeline;
   if (P.DigestTrace)
@@ -727,8 +724,6 @@ void DseServer::registerGauges(MetricsSampler &Sampler) {
                    [this] { return static_cast<double>(Cache->size()); });
   Sampler.setGauge("cache_sessions",
                    [this] { return static_cast<double>(Sessions.size()); });
-  Sampler.setGauge("stage_entries",
-                   [this] { return static_cast<double>(StageCache->size()); });
   Sampler.setGauge("in_flight_evals", [] {
     return static_cast<double>(EvaluationService::inFlightEvaluations());
   });

@@ -16,27 +16,28 @@ using namespace defacto;
 
 namespace {
 
-/// Builds the \p Text pipeline over \p Result and runs it on Result.K,
-/// verifying the outcome unless \p SkipVerify. Any failure — parse, pass,
-/// or verification — degrades Result.K to a clone of \p ErrorFallback and
-/// records the status in Result.Error.
-void runTextOn(const std::string &Text, const TransformOptions &Opts,
-               const Kernel &ErrorFallback, bool SkipVerify,
-               TransformResult &Result) {
+/// The full per-candidate pipeline over an already-normalized clone this
+/// call owns: builds the Opts.Pipeline pass pipeline, runs it and
+/// verifies the outcome. Any failure — parse, pass, or verification —
+/// degrades Result.K to a clone of \p ErrorFallback and records the
+/// status in Result.Error; the happy path costs exactly one deep copy.
+TransformResult runOnNormalized(Kernel Normalized,
+                                const TransformOptions &Opts,
+                                const Kernel &ErrorFallback) {
+  DEFACTO_SPAN("pipeline.run");
+  TransformResult Result(std::move(Normalized));
   Status S;
   {
     AnalysisManager AM;
-    Expected<PassPipeline> Pipeline = buildPassPipeline(Text, Opts, Result);
+    Expected<PassPipeline> Pipeline =
+        buildPassPipeline(Opts.Pipeline, Opts, Result);
     S = Pipeline ? Pipeline->run(Result.K, AM) : Pipeline.status();
   }
   if (!S.isOk()) {
     Result.Error = std::move(S);
     Result.K = ErrorFallback.clone();
-    return;
+    return Result;
   }
-
-  if (SkipVerify)
-    return;
 
   DEFACTO_SPAN("pipeline.verify");
   if (!isKernelValid(Result.K)) {
@@ -45,35 +46,10 @@ void runTextOn(const std::string &Text, const TransformOptions &Opts,
         "transformation pipeline produced an invalid kernel");
     Result.K = ErrorFallback.clone();
   }
-}
-
-/// The full per-candidate pipeline over an already-normalized clone this
-/// call owns; \p ErrorFallback is cloned only on failure, so the happy
-/// path costs exactly one deep copy.
-TransformResult runOnNormalized(Kernel Normalized,
-                                const TransformOptions &Opts,
-                                const Kernel &ErrorFallback) {
-  DEFACTO_SPAN("pipeline.run");
-  TransformResult Result(std::move(Normalized));
-  runTextOn(Opts.Pipeline, Opts, ErrorFallback, /*SkipVerify=*/false, Result);
   return Result;
 }
 
 } // namespace
-
-TransformResult defacto::finishPipeline(Kernel Staged,
-                                        const TransformOptions &Opts,
-                                        const Kernel &ErrorFallback,
-                                        bool UnrollApplied, bool SkipVerify) {
-  TransformResult Result(std::move(Staged));
-  Result.UnrollApplied = UnrollApplied;
-  // The sub-pipeline downstream of the memoized strip-mine/unroll/
-  // normalize prefix. Opts.Pipeline is deliberately not consulted here:
-  // custom pipelines bypass the stage cache entirely.
-  runTextOn("scalar-repl,peel,fold,layout", Opts, ErrorFallback, SkipVerify,
-            Result);
-  return Result;
-}
 
 TransformResult defacto::applyPipeline(const Kernel &Source,
                                        const TransformOptions &Opts) {
@@ -88,7 +64,9 @@ PipelineContext::PipelineContext(const Kernel &Source)
   // Warm the unroll-invariant analyses so per-design evaluation never
   // recomputes them (EvaluationService reads cachedDependence()).
   Analyses.dependence(Normalized);
+#ifndef NDEBUG
   Fingerprint = kernelFingerprint(Normalized);
+#endif
 }
 
 void PipelineContext::assertUnchanged() const {

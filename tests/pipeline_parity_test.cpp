@@ -34,8 +34,8 @@ using namespace defacto;
 
 namespace {
 
-/// The pre-refactor pipeline, verbatim: what runOnNormalized +
-/// finishPipeline did before the sequence became a pass pipeline.
+/// The pre-refactor pipeline, verbatim: the hand-written pass sequence
+/// applyPipeline ran before the sequence became a pass pipeline.
 TransformResult legacyPipeline(const Kernel &Source,
                                const TransformOptions &Opts) {
   Kernel K = Source.clone();

@@ -318,7 +318,6 @@ TEST_F(ServeTest, ServedDigestMatchesStandaloneRun) {
   ExplorerOptions O;
   O.Platform = TargetPlatform::wildstarPipelined();
   O.MaxEvaluations = 30;
-  O.StageCache = std::make_shared<TransformStageCache>();
   O.Trace = Recorder;
   BatchOptions B;
   B.Cache = std::make_shared<EstimateCache>();
@@ -671,7 +670,6 @@ TEST_F(ServeTest, PingReportsWarmState) {
   oneShot(SocketPath, exploreFIR());
   ServeResponse After = oneShot(SocketPath, Ping);
   EXPECT_GT(After.CacheDesigns, 0u);
-  EXPECT_GT(After.StageCacheEntries, 0u);
   EXPECT_EQ(After.SessionEntries, 1u);
   EXPECT_EQ(After.Requests, 1u);
 }
@@ -685,7 +683,7 @@ TEST_F(ServeTest, GaugesRegisterOnSampler) {
   // Gauge values land in the serialized sample the monitor reads.
   for (const char *Name : {"serve_queue_depth", "serve_in_flight",
                            "cache_designs", "cache_sessions",
-                           "stage_entries", "in_flight_evals"})
+                           "in_flight_evals"})
     EXPECT_NE(S.JsonLine.find(std::string("\"") + Name + "\""),
               std::string::npos)
         << Name << " missing from " << S.JsonLine;

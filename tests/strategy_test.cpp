@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "defacto/Core/BatchExplorer.h"
+#include "defacto/Core/EvaluationService.h"
 #include "defacto/Core/ExplorationReport.h"
 #include "defacto/Core/Explorer.h"
 #include "defacto/Core/SearchStrategy.h"
@@ -242,6 +243,36 @@ TEST(Portfolio, BeatsOrMatchesGuidedOnEveryPaperKernel) {
     ASSERT_TRUE(static_cast<bool>(Port));
     EXPECT_LE(Port->SelectedEstimate.Cycles, Guided->SelectedEstimate.Cycles);
   }
+}
+
+TEST(Portfolio, SubServicesKeepTheBuiltInBackend) {
+  // The portfolio builds each sub-service from the parent's options().
+  // A default-backend parent must hand down "no estimator injected", so
+  // a sub-service estimates with the built-in backend (no second
+  // verification of every candidate) and answers like its parent.
+  EvaluationService Parent(buildKernel("FIR"), ExplorerOptions{});
+  EXPECT_FALSE(Parent.options().Estimator);
+  EvaluationService Sub(Parent.session(), Parent.options());
+  EXPECT_FALSE(Sub.options().Estimator);
+  Expected<SynthesisEstimate> FromParent = Parent.evaluateChecked({1, 2});
+  Expected<SynthesisEstimate> FromSub = Sub.evaluateChecked({1, 2});
+  ASSERT_TRUE(static_cast<bool>(FromParent));
+  ASSERT_TRUE(static_cast<bool>(FromSub));
+  EXPECT_EQ(FromSub->Cycles, FromParent->Cycles);
+  EXPECT_EQ(FromSub->Slices, FromParent->Slices);
+
+  // An injected backend is handed down as injected.
+  unsigned Calls = 0;
+  ExplorerOptions Injected;
+  Injected.Estimator = [&Calls](const Kernel &K, const TargetPlatform &P) {
+    ++Calls;
+    return estimateDesignChecked(K, P);
+  };
+  EvaluationService InjectedParent(buildKernel("FIR"), Injected);
+  EvaluationService InjectedSub(InjectedParent.session(),
+                                InjectedParent.options());
+  ASSERT_TRUE(static_cast<bool>(InjectedSub.evaluateChecked({1, 2})));
+  EXPECT_EQ(Calls, 1u);
 }
 
 TEST(Portfolio, DegradesGracefullyUnderInjectedFaults) {

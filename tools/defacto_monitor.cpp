@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Tails the metrics JSONL stream a MetricsSampler writes (explore_batch
-/// --metrics-out=PATH) and renders a live terminal dashboard: batch
+/// or defacto_served --metrics-jsonl=PATH) and renders a live terminal dashboard: batch
 /// progress with an ETA, evaluation throughput, cache behaviour, breaker
 /// state, and the latency percentile table. The sampler rewrites the
 /// file atomically (write-then-rename), so re-reading the whole file on

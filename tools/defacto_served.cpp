@@ -7,8 +7,8 @@
 /// \file
 /// Exploration-as-a-service: binds a Unix-domain socket, serves
 /// newline-delimited JSON explore/ping/shutdown requests (see
-/// docs/SERVING.md), and keeps the estimate and transform-stage caches
-/// warm for the process lifetime. With --journal the daemon is
+/// docs/SERVING.md), and keeps the estimate cache and the kernel-session
+/// store warm for the process lifetime. With --journal the daemon is
 /// crash-safe: every completed estimation is durable, and a restart
 /// replays the journal into the cache before accepting connections.
 ///
